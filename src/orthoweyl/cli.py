@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .eisenstein import ParabolicReport, Report, full_report
+from .eisenstein import ParabolicReport, Report, full_report, parabolic_report, regular_weight
 from .errors import OrthoweylError
 from .hasse import build_hasse, length_histogram, to_dot, to_json_dict, with_bruhat_covers
 from .linform import parse_rational
@@ -70,7 +70,12 @@ def _group(args) -> GroupSpec:
 
 def _emit(text: str, out: str | None) -> int:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            return EXIT_IO
         return EXIT_OK
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -177,20 +182,14 @@ def _record_rows(report: ParabolicReport) -> list[dict]:
     ]
 
 
-def _single_parabolic_report(args) -> tuple[GroupSpec, MaximalParabolic, ParabolicReport]:
+def _kostant_like(args, which: str) -> int:
     g = _group(args)
     p = _parse_parabolic(args.parabolic)
-    lam = _parse_lambda(getattr(args, "lam"), g.k) if getattr(args, "lam") else None
+    lam = _parse_lambda(args.lam, g.k) if args.lam else None
     try:
-        report = full_report(g, lam)
+        report = parabolic_report(g, p, None if lam is None else regular_weight(g, lam))
     except OrthoweylError as exc:
         raise _CliError(str(exc)) from None
-    chosen = next(r for r in report.parabolics if r.parabolic is p)
-    return g, p, chosen
-
-
-def _kostant_like(args, which: str) -> int:
-    g, p, report = _single_parabolic_report(args)
     rows = _record_rows(report)
     if args.format == "json":
         payload = {
@@ -198,7 +197,7 @@ def _kostant_like(args, which: str) -> int:
             "n": g.n,
             "k": g.k,
             "parabolic": p.name,
-            "lambda": list(args.lam.split(",")) if args.lam else None,
+            "lambda": None if lam is None else [str(v) for v in lam],
             "rows": rows,
         }
         return _emit(_json_text(payload), args.out)

@@ -16,11 +16,19 @@ classes together with the counts, Levi lists and vanishing bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache, partial, reduce
+from operator import mul
+from typing import Callable, Sequence
 
-from .errors import DimensionError, NotCosetRepresentativeError, RegularityError
+from .errors import (
+    DimensionError,
+    NotCosetRepresentativeError,
+    OrthoweylError,
+    RegularityError,
+)
 from .hasse import HasseDiagram, build_hasse, length_histogram
 from .linform import LinearForm, RationalLike
 from .orthogroup import (
@@ -30,6 +38,7 @@ from .orthogroup import (
     VanishingBounds,
     crossed_simple_roots,
     cuspidal_degrees,
+    half_positions,
     levi_rho_coefficient,
     levi_subgroups,
     nilradical_dim,
@@ -37,7 +46,14 @@ from .orthogroup import (
     restrict,
     vanishing_bounds,
 )
-from .rootsystem import Weight, positive_root_vectors, rho, simple_root_vector
+from .rootsystem import (
+    DynkinKind,
+    RootDatum,
+    Weight,
+    positive_root_vectors,
+    rho,
+    simple_root_vector,
+)
 from .weylgroup import WeylWord, apply_word, mat_vec, word_action_matrix, word_length
 
 __all__ = [
@@ -51,6 +67,8 @@ __all__ = [
     "holomorphy_guaranteed",
     "degree_support",
     "kostant_record",
+    "parabolic_report",
+    "regular_weight",
     "full_report",
 ]
 
@@ -128,9 +146,20 @@ class KostantRecord:
 def kostant_record(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> KostantRecord:
+    """Record of one word, replayed from scratch; checks that it is in W^P."""
     mu = kostant_restriction(g, p, word, lam)
     a_raw = raw_evaluation_coefficient(g, p, word, lam)
-    length = word_length(g.datum, word)
+    return _record(g, p, word, word_length(g.datum, word), mu, a_raw)
+
+
+def _record(
+    g: GroupSpec,
+    p: MaximalParabolic,
+    word: WeylWord,
+    length: int,
+    mu: tuple[LinearForm, ...],
+    a_raw: LinearForm,
+) -> KostantRecord:
     even_p1 = (not g.is_odd) and p is MaximalParabolic.P1
     excluded = even_p1 and length == g.k - 1
     return KostantRecord(
@@ -216,15 +245,151 @@ def _class_label(g: GroupSpec, p: MaximalParabolic) -> str:
     return f"π_{g.k - 1}(μ)"
 
 
+# --- records along the walk ---------------------------------------------------
+#
+# The action matrix of a node is its parent's times one generator:
+# A_{u·s_j} = A_u·S_j with S_j = I - c_j·e_j^T (c_j = row j of the pairing
+# matrix), which changes column j only.  Matrices are kept as column tuples, so
+# a node costs one new column, and every record is read off integer rows:
+#   w(λ+ρ)_i = Σ_j A[i][j]·(λ_j + 1),   wρ = row sums of A.
+
+Columns = tuple[tuple[int, ...], ...]
+
+
+def _times_generator(datum: RootDatum, cols: Columns, j: int) -> Columns:
+    """Columns of ``A·S_j``: column j becomes ``A·(e_j - c_j)``."""
+    terms = [(cols[i], c) for i, c in enumerate(datum.cartan[j - 1]) if c]
+    new = tuple(
+        x - sum(col[r] * c for col, c in terms) for r, x in enumerate(cols[j - 1])
+    )
+    return cols[: j - 1] + (new,) + cols[j:]
+
+
+def _doubled_epsilon(datum: RootDatum, vec: Sequence[int]) -> list[int]:
+    """2·ε-coordinates of an integer ϖ-coordinate vector (types B and D)."""
+    k = datum.rank
+    x = [0] * k
+    if datum.kind is DynkinKind.B:
+        x[k - 1] = vec[k - 1]
+        top = k - 1
+    else:
+        x[k - 2] = vec[k - 2] + vec[k - 1]
+        x[k - 1] = vec[k - 1] - vec[k - 2]
+        top = k - 2
+    for i in range(top - 1, -1, -1):
+        x[i] = x[i + 1] + 2 * vec[i]
+    return x
+
+
+def _length_of(datum: RootDatum, w_rho: Sequence[int]) -> int:
+    """l(w) = #{β > 0 : (wρ, β) < 0}, from wρ in ϖ-coordinates."""
+    x = _doubled_epsilon(datum, w_rho)
+    count = sum(1 for v in x if v < 0) if datum.kind is DynkinKind.B else 0
+    for i, xi in enumerate(x):
+        for xj in x[i + 1 :]:
+            count += (xi < xj) + (xi + xj < 0)
+    return count
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _form(
+    nvars: int, constant: int, coeffs: Sequence[int], fraction: Callable[[int], Fraction]
+) -> LinearForm:
+    """``constant + Σ_j coeffs[j-1]·λ_j`` with each integer read through ``fraction``."""
+    terms = tuple((j, fraction(c)) for j, c in enumerate(coeffs, 1) if c)
+    return LinearForm(nvars, fraction(constant), terms)
+
+
+def _walk_records(
+    g: GroupSpec,
+    p: MaximalParabolic,
+    diagram: HasseDiagram,
+    values: tuple[Fraction, ...] | None,
+    nvars: int,
+) -> tuple[KostantRecord, ...]:
+    """Records of every node from integer action matrices carried along the walk.
+
+    ``values`` is a numeric λ, or None for the symbolic one; the output forms
+    live in ``nvars`` variables.  A node's parent is the node whose word is its
+    word minus the last letter: the source of the walk edge that discovered
+    it.  Each node is checked to lie in W^P (the ϖ_j-coordinate of wρ is > 0
+    for every uncrossed j) and to have length ``node.length``.
+    """
+    datum = g.datum
+    k = g.k
+    (crossed,) = crossed_simple_roots(g, p)
+    b_rows = [i for i in range(k) if i != crossed - 1]
+    # -2 × the weight of each coordinate in the 𝔞-coefficient (cf. restrict),
+    # so that a_raw = -a = Σ_i a_weights[i]·w(λ+ρ)_i / 2.
+    halves = half_positions(g, p)
+    a_weights = [-1 if i in halves else -2 for i in range(1, k + 1)]
+    # Few distinct integers occur, so their Fractions are made once each.
+    unit = lru_cache(maxsize=None)(Fraction)
+    half = lru_cache(maxsize=None)(lambda c: Fraction(c, 2))
+    if values is not None:
+        # λ + ρ as integers over the common denominator den.
+        den = math.lcm(*(v.denominator for v in values))
+        shifted = [int((v + 1) * den) for v in values]
+    ident = tuple(tuple(int(r == c) for r in range(k)) for c in range(k))
+    matrices: dict[WeylWord, Columns] = {(): ident}
+    records = []
+    for node in diagram.nodes:
+        word = node.word
+        cols = matrices.get(word)
+        if cols is None:
+            head = word[:-1]
+            parent = matrices.get(head) or reduce(
+                partial(_times_generator, datum), head, ident
+            )
+            cols = matrices[word] = _times_generator(datum, parent, word[-1])
+        rows = tuple(zip(*cols))
+        w_rho = [sum(row) for row in rows]
+        for j in range(1, k + 1):
+            if j != crossed and w_rho[j - 1] <= 0:
+                raise NotCosetRepresentativeError(
+                    f"word {word} is not minimal for the parabolic (fails at α_{j})"
+                )
+        length = _length_of(datum, w_rho)
+        if length != node.length:
+            raise OrthoweylError(
+                f"word {word} has length {length}, but its node says {node.length}"
+            )
+        if values is None:
+            mu = tuple(_form(nvars, w_rho[i] - 1, rows[i], unit) for i in b_rows)
+            a_coeffs = [_dot(a_weights, col) for col in cols]
+            a_raw = _form(nvars, _dot(a_weights, w_rho), a_coeffs, half)
+        else:
+            moved = [_dot(row, shifted) for row in rows]
+            mu = tuple(LinearForm(nvars, Fraction(moved[i] - den, den), ()) for i in b_rows)
+            a_raw = LinearForm(nvars, Fraction(_dot(a_weights, moved), 2 * den), ())
+        records.append(_record(g, p, word, length, mu, a_raw))
+    return tuple(records)
+
+
 def parabolic_report(
     g: GroupSpec,
     p: MaximalParabolic,
     lam: Weight | None = None,
     diagram: HasseDiagram | None = None,
 ) -> ParabolicReport:
+    """Counts, supports, Levi data and the records of every node of W^P.
+
+    ``lam`` is None (symbolic λ) or a weight of rank k.  Records of symbolic
+    and numeric λ come from the integer walk of :func:`_walk_records`; any
+    other weight is replayed word by word through :func:`kostant_record`.
+    """
     if diagram is None:
         diagram = build_hasse(parabolic_choice(g, p))
-    records = tuple(kostant_record(g, p, node.word, lam) for node in diagram.nodes)
+    if lam is None:
+        records = _walk_records(g, p, diagram, None, g.k)
+    elif _symbolic_or_given(g, lam).is_constant:
+        nvars = lam.coords[0].nvars
+        records = _walk_records(g, p, diagram, lam.constant_tuple(), nvars)
+    else:
+        records = tuple(kostant_record(g, p, node.word, lam) for node in diagram.nodes)
     even_p1 = (not g.is_odd) and p is MaximalParabolic.P1
     return ParabolicReport(
         parabolic=p,
@@ -239,6 +404,20 @@ def parabolic_report(
     )
 
 
+def regular_weight(g: GroupSpec, lam_values: Sequence[RationalLike]) -> Weight:
+    """The numeric highest weight with these k coordinates, all of them > 0."""
+    if len(lam_values) != g.k:
+        raise DimensionError(
+            f"highest weight needs {g.k} coordinates, got {len(lam_values)}"
+        )
+    assignment = tuple(Fraction(v) for v in lam_values)
+    if not all(v > 0 for v in assignment):
+        raise RegularityError(
+            f"highest weight must be regular (all coordinates > 0): {assignment}"
+        )
+    return Weight.from_constants(assignment, g.k)
+
+
 def full_report(
     g: GroupSpec, lam_values: Sequence[RationalLike] | None = None
 ) -> Report:
@@ -248,19 +427,7 @@ def full_report(
     regular weight (all coordinates > 0).  Without it everything stays
     symbolic in λ1, ..., λk.
     """
-    lam: Weight | None = None
-    assignment: tuple[Fraction, ...] | None = None
-    if lam_values is not None:
-        if len(lam_values) != g.k:
-            raise DimensionError(
-                f"highest weight needs {g.k} coordinates, got {len(lam_values)}"
-            )
-        assignment = tuple(Fraction(v) for v in lam_values)
-        if not all(v > 0 for v in assignment):
-            raise RegularityError(
-                f"highest weight must be regular (all coordinates > 0): {assignment}"
-            )
-        lam = Weight.from_constants(assignment, g.k)
+    lam = None if lam_values is None else regular_weight(g, lam_values)
     reports = tuple(
         parabolic_report(g, p, lam)
         for p in (MaximalParabolic.P1, MaximalParabolic.P2)
@@ -270,6 +437,6 @@ def full_report(
         k=g.k,
         parity="odd" if g.is_odd else "even",
         bounds=vanishing_bounds(g),
-        lambda_assignment=assignment,
+        lambda_assignment=None if lam is None else lam.constant_tuple(),
         parabolics=reports,
     )

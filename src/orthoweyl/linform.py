@@ -38,6 +38,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 

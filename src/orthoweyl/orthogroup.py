@@ -30,6 +30,7 @@ __all__ = [
     "group_spec",
     "crossed_simple_roots",
     "parabolic_choice",
+    "half_positions",
     "restrict",
     "restriction_basis",
     "levi_rho_coefficient",
@@ -92,20 +93,26 @@ class RestrictionData:
     b_coords: tuple[LinearForm, ...]
 
 
+def half_positions(g: GroupSpec, p: MaximalParabolic) -> tuple[int, ...]:
+    """Indices i whose coordinate enters the ϖ_{i1}-coefficient with weight 1/2.
+
+    The 𝔞-coefficient of a weight c is ``Σ_i c_i``, with the coordinates at
+    these positions halved; every other coordinate counts fully.
+    """
+    k = g.k
+    if p is MaximalParabolic.P1:
+        return (k,) if g.is_odd else (k - 1, k)
+    return (1, k) if g.is_odd else (1, k - 1, k)
+
+
 def restrict(g: GroupSpec, p: MaximalParabolic, w: Weight) -> RestrictionData:
     """Split a weight along the parabolic's Levi decomposition."""
-    k = g.k
     c = w.coords
-    half_positions: tuple[int, ...]
-    if p is MaximalParabolic.P1:
-        half_positions = (k,) if g.is_odd else (k - 1, k)
-        b = tuple(c[1:])
-    else:
-        half_positions = (1, k) if g.is_odd else (1, k - 1, k)
-        b = (c[0],) + tuple(c[2:])
+    b = tuple(c[1:]) if p is MaximalParabolic.P1 else (c[0],) + tuple(c[2:])
+    halves = half_positions(g, p)
     a = LinearForm.zero(c[0].nvars)
-    for i in range(1, k + 1):
-        a = a + (c[i - 1].scale(HALF) if i in half_positions else c[i - 1])
+    for i in range(1, g.k + 1):
+        a = a + (c[i - 1].scale(HALF) if i in halves else c[i - 1])
     return RestrictionData(a, b)
 
 

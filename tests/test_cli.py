@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -234,3 +235,39 @@ def test_csv_cells_follow_rendering_contract(capsys):
     assert lines[0] == "length,word,mu_1,mu_2"
     assert lines[1] == "0,1,λ2,λ3"
     assert lines[2] == "1,s1,λ1+λ2+1,λ3"
+
+
+def test_lambda_zero_denominator_is_bad_input(capsys):
+    code, _, err = run_cli(
+        capsys, "kostant", "--n", "5", "--parabolic", "P1", "--lambda", "1/0,1,1"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    code, _, _ = run_cli(capsys, "report", "--n", "5", "--lambda", "1,1,2/0")
+    assert code == 2
+
+
+def test_lambda_echoed_in_normal_form(capsys):
+    for which in ("kostant", "lambdaw"):
+        payload = run_json(
+            capsys, which, "--n", "5", "--parabolic", "P2", "--lambda", " 2/4 ,3, 6/3",
+            "--format", "json",
+        )
+        assert payload["lambda"] == ["1/2", "3", "2"]
+    report = run_json(capsys, "report", "--n", "5", "--lambda", " 2/4 ,3, 6/3", "--format", "json")
+    assert report["lambda"] == payload["lambda"]
+    assert report["parabolics"][1]["records"] == payload["rows"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_io_error():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "orthoweyl", "cosets", "--n", "5", "--parabolic", "P1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: cannot write to stdout")
+    assert "Traceback" not in result.stderr

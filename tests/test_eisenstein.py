@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+from conftest import diagram
 from orthoweyl.eisenstein import (
     degree_support,
     evaluation_coefficient,
@@ -9,13 +11,16 @@ from orthoweyl.eisenstein import (
     holomorphy_guaranteed,
     kostant_record,
     kostant_restriction,
+    parabolic_report,
+    regular_weight,
 )
 from orthoweyl.errors import (
     DimensionError,
     NotCosetRepresentativeError,
+    OrthoweylError,
     RegularityError,
 )
-from orthoweyl.hasse import build_hasse
+from orthoweyl.hasse import HasseNode, build_hasse
 from orthoweyl.linform import LinearForm
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import Weight
@@ -176,3 +181,59 @@ def test_antipodal_antisymmetry_sample():
             h = build_hasse(parabolic_choice(g, p))
             top = max(h.nodes, key=lambda node: node.length)
             assert evaluation_coefficient(g, p, top.word) == -evaluation_coefficient(g, p, ())
+
+
+@pytest.mark.parametrize("n", range(5, 14))
+def test_walk_records_equal_word_replay(n):
+    # the integer walk against the per-word reference path, field by field
+    g = group_spec(n)
+    numeric = Weight.from_constants([Q(2 * i + 1, 3 + i % 2) for i in range(g.k)], g.k)
+    for p in (P1, P2):
+        h = diagram(n, p)
+        for lam in (None, numeric):
+            records = parabolic_report(g, p, lam, h).records
+            assert len(records) == len(h.nodes)
+            for node, rec in zip(h.nodes, records):
+                assert rec == kostant_record(g, p, node.word, lam), (p, node.word)
+
+
+def test_walk_records_other_weights_match_replay():
+    g = group_spec(7)
+    mixed = Weight((sym(4, 1), lf(4, Q(1, 2)), sym(4, 2, 3), lf(4, 3)))
+    for lam in (mixed, Weight.symbolic(4)):
+        records = parabolic_report(g, P2, lam).records
+        assert records == tuple(
+            kostant_record(g, P2, node.word, lam) for node in diagram(7, P2).nodes
+        )
+    with pytest.raises(DimensionError):
+        parabolic_report(g, P2, Weight.symbolic(3))
+
+
+def test_walk_records_reject_non_minimal_node():
+    g = group_spec(5)
+    h = build_hasse(parabolic_choice(g, P1))
+    node = h.nodes[1]
+    assert node.word == (1,)
+    bad = HasseNode(node.id, (2,), node.weight, node.length)
+    tampered = replace(h, nodes=(h.nodes[0], bad) + h.nodes[2:])
+    with pytest.raises(NotCosetRepresentativeError, match="α_2"):
+        parabolic_report(g, P1, None, tampered)
+    # a stored length that is not l(w) is refused as well
+    wrong = HasseNode(node.id, node.word, node.weight, 2)
+    with pytest.raises(OrthoweylError, match="length 1"):
+        parabolic_report(g, P1, None, replace(h, nodes=(h.nodes[0], wrong) + h.nodes[2:]))
+    # a node whose parent is not in the diagram is rebuilt from its word
+    sparse = replace(h, nodes=(h.nodes[0], h.nodes[-1]))
+    top = parabolic_report(g, P1, None, sparse).records[-1]
+    assert top == kostant_record(g, P1, h.nodes[-1].word)
+
+
+def test_regular_weight():
+    g = group_spec(6)
+    assert regular_weight(g, [1, Q(1, 2), 3, 3]) == Weight.from_constants(
+        [1, Q(1, 2), 3, 3], 4
+    )
+    with pytest.raises(RegularityError):
+        regular_weight(g, [1, 1, -1, 1])
+    with pytest.raises(DimensionError):
+        regular_weight(g, [1, 1, 1])

@@ -92,3 +92,9 @@ def test_parse_examples():
     assert LinearForm.parse("0", 3) == lf()
     with pytest.raises(ValueError):
         LinearForm.parse("λ1++1", 3)
+
+
+def test_parse_rational_rejects_zero_denominator():
+    assert parse_rational(" -6 / 4 ") == Q(-3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
