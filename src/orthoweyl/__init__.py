@@ -72,7 +72,6 @@ from .orthogroup import (
     levi_rho_coefficient,
     levi_subgroups,
     nilradical_dim,
-    half_positions,
     parabolic_choice,
     restrict,
     restriction_basis,
@@ -90,8 +89,6 @@ from .eisenstein import (
     holomorphy_guaranteed,
     kostant_record,
     kostant_restriction,
-    parabolic_report,
-    regular_weight,
 )
 
 __version__ = "0.1.0"

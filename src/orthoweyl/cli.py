@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -75,6 +76,12 @@ def _emit(text: str, out: str | None) -> int:
             sys.stdout.flush()
         except OSError as exc:
             print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            # The unwritten bytes stay buffered and the interpreter flushes
+            # them again at exit, which would fail too and exit 120.  Point
+            # fd 1 at the null device so that last flush succeeds.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return EXIT_IO
         return EXIT_OK
     try:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
@@ -67,8 +67,6 @@ __all__ = [
     "holomorphy_guaranteed",
     "degree_support",
     "kostant_record",
-    "parabolic_report",
-    "regular_weight",
     "full_report",
 ]
 
@@ -340,10 +338,11 @@ def _walk_records(
         word = node.word
         cols = matrices.get(word)
         if cols is None:
-            head = word[:-1]
-            parent = matrices.get(head) or reduce(
-                partial(_times_generator, datum), head, ident
-            )
+            parent = matrices.get(word[:-1])
+            if parent is None:
+                raise OrthoweylError(
+                    f"word {word} has no parent {word[:-1]} earlier in the diagram"
+                )
             cols = matrices[word] = _times_generator(datum, parent, word[-1])
         rows = tuple(zip(*cols))
         w_rho = [sum(row) for row in rows]

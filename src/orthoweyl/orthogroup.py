@@ -30,7 +30,6 @@ __all__ = [
     "group_spec",
     "crossed_simple_roots",
     "parabolic_choice",
-    "half_positions",
     "restrict",
     "restriction_basis",
     "levi_rho_coefficient",

@@ -260,14 +260,21 @@ def test_lambda_echoed_in_normal_form(capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_failed_stdout_write_exits_io_error():
+@pytest.mark.parametrize("buffered", [True, False])
+def test_failed_stdout_write_exits_io_error(buffered):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         result = subprocess.run(
             [sys.executable, "-m", "orthoweyl", "cosets", "--n", "5", "--parabolic", "P1"],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
     assert result.returncode == 3
     assert result.stderr.startswith("error: cannot write to stdout")
     assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr

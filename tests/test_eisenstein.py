@@ -222,10 +222,10 @@ def test_walk_records_reject_non_minimal_node():
     wrong = HasseNode(node.id, node.word, node.weight, 2)
     with pytest.raises(OrthoweylError, match="length 1"):
         parabolic_report(g, P1, None, replace(h, nodes=(h.nodes[0], wrong) + h.nodes[2:]))
-    # a node whose parent is not in the diagram is rebuilt from its word
+    # so is a node whose parent does not come before it in the diagram
     sparse = replace(h, nodes=(h.nodes[0], h.nodes[-1]))
-    top = parabolic_report(g, P1, None, sparse).records[-1]
-    assert top == kostant_record(g, P1, h.nodes[-1].word)
+    with pytest.raises(OrthoweylError, match="no parent"):
+        parabolic_report(g, P1, None, sparse)
 
 
 def test_regular_weight():
