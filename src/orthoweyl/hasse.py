@@ -6,11 +6,11 @@ is a bijection from the minimal coset representatives W^P onto the W-orbit of
 δ_P, so W^P can be generated by a breadth-first walk over that orbit:
 
   * node identity is the orbit weight (a tuple of integers);
-  * from a node with weight x and inverse-inversion set Φ, each simple index α
-    with α ∉ Φ ("do not go back") and s_α(x) ≠ x ("do not halt") contributes
-    the edge x --α--> s_α(x);
-  * the inversion set of the new node is {α} ∪ s_α(Φ), so it never has to be
-    recomputed from scratch.
+  * from a node with weight x, each simple index j with ``x_j > 0``
+    contributes the edge x --j--> s_j(x).  A positive coordinate is exactly
+    a step away from the dominant chamber: ``x_j = 0`` would halt
+    (s_j(x) = x) and ``x_j < 0`` would go back towards δ_P, so no inversion
+    set needs to be carried.
 
 Reading edge labels along any path from the root spells a reduced word for the
 node's coset representative.  The walk is deterministic: frontier nodes are
@@ -18,26 +18,30 @@ processed in word order and letters in ascending order, so node ids, stored
 words and all rendered output are byte-stable across runs.
 
 Edges produced by the walk are weak-order covers; :func:`with_bruhat_covers`
-completes them to the full Bruhat cover relation by testing, for every node w
-and every positive root β, whether s_β·w is again a node one length higher.
+completes them to the full Bruhat cover relation on the orbit weights alone.
+For a node w with weight x and a positive root β, the weight
+``s_β(x) = x − ⟨x, β^∨⟩·β`` belongs to the coset of ``w·s_β = t·w`` with
+``t = s_{w(β)}``, and every reflection t arises this way.  Deodhar's
+projection W → W^P preserves the Bruhat order (Björner–Brenti, *Combinatorics
+of Coxeter Groups*, §2.5), so a pair whose lengths differ by one is a cover
+in W^P, and every cover t·w ∈ W^P is found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from operator import mul
 
 from .errors import IndexRangeError, OrthoweylError
 from .rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
+    positive_coroot_vectors,
     positive_root_vectors,
     reflect_vector,
-    simple_root_vector,
-    to_epsilon,
 )
-from .weylgroup import Matrix, WeylWord, mat_mul, word_action_matrix
+from .weylgroup import WeylWord
 
 __all__ = [
     "ParabolicChoice",
@@ -105,12 +109,10 @@ def build_hasse(p: ParabolicChoice, max_nodes: int | None = None) -> HasseDiagra
     """Breadth-first walk over the W-orbit of δ_P; see the module docstring."""
     datum = p.datum
     k = datum.rank
-    alphas = {j: simple_root_vector(datum, j) for j in range(1, k + 1)}
     delta = tuple(1 if i in p.crossed else 0 for i in range(1, k + 1))
 
     words: list[WeylWord] = [()]
     weights: list[tuple[int, ...]] = [delta]
-    inversions: list[frozenset[tuple[int, ...]]] = [frozenset()]
     index: dict[tuple[int, ...], int] = {delta: 0}
     edges: list[tuple[int, int, int]] = []
 
@@ -119,15 +121,9 @@ def build_hasse(p: ParabolicChoice, max_nodes: int | None = None) -> HasseDiagra
         next_frontier: list[int] = []
         for node_id in sorted(frontier, key=lambda i: words[i]):
             x = weights[node_id]
-            inv = inversions[node_id]
             for j in range(1, k + 1):
-                alpha = alphas[j]
-                if alpha in inv:  # do not go back
+                if x[j - 1] <= 0:  # halt (= 0) or go back (< 0)
                     continue
-                if x[j - 1] == 0:  # do not halt
-                    continue
-                # Forward steps point away from the dominant chamber.
-                assert x[j - 1] > 0
                 y = reflect_vector(datum, j, x)
                 child = index.get(y)
                 if child is None:
@@ -135,9 +131,6 @@ def build_hasse(p: ParabolicChoice, max_nodes: int | None = None) -> HasseDiagra
                     index[y] = child
                     words.append(words[node_id] + (j,))
                     weights.append(y)
-                    inversions.append(
-                        frozenset({alpha} | {reflect_vector(datum, j, r) for r in inv})
-                    )
                     next_frontier.append(child)
                     if max_nodes is not None and child + 1 > max_nodes:
                         raise OrthoweylError(f"orbit exceeded max_nodes={max_nodes}")
@@ -160,56 +153,37 @@ def length_histogram(h: HasseDiagram) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
-def _reflection_matrices(datum: RootDatum) -> tuple[Matrix, ...]:
-    """ϖ-action matrices of the reflections s_β, one per positive root β."""
-    from .rootsystem import _eps_positive_roots  # same enumeration order
-
-    k = datum.rank
-    eps_roots = _eps_positive_roots(datum)
-    weight_roots = positive_root_vectors(datum)
-    # ε-coordinates of the fundamental weights = columns of the basis change.
-    eps_basis = [
-        to_epsilon(datum, Weight.from_constants([1 if i == j else 0 for i in range(k)]))
-        for j in range(k)
-    ]
-    eps_fund = [[c.constant for c in ew.coords] for ew in eps_basis]
-    out: list[Matrix] = []
-    for beta_eps, beta_w in zip(eps_roots, weight_roots):
-        norm = sum(x * x for x in beta_eps)
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                t = 2 * sum(a * b for a, b in zip(eps_fund[j], beta_eps)) / norm
-                entry = (1 if i == j else 0) - t * beta_w[i]
-                assert entry.denominator == 1
-                row.append(int(entry))
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
 def with_bruhat_covers(h: HasseDiagram) -> HasseDiagram:
-    """Fill in the full Bruhat cover relation on W^P.
+    """Fill in the full Bruhat cover relation on W^P from the orbit weights.
 
-    A pair w' → w is a cover iff w = s_β w' for some positive root β and
-    l(w) = l(w') + 1.  Every walk edge is such a cover (with β = w'(α)), and
-    the completed relation may be strictly larger.
+    For every node w with weight x and every positive root β with
+    ``c = ⟨x, β^∨⟩ ≠ 0``, the weight ``x − c·β`` is the node of the coset of
+    ``w·s_β``; the pair is a cover iff that node is one length higher (see
+    the module docstring for why this is the whole relation).  Every walk
+    edge is such a cover, and the completed relation may be strictly larger.
+    A reflected weight that is not a node means the diagram is not a closed
+    orbit, and raises :class:`OrthoweylError`.
     """
     datum = h.parabolic.datum
     if datum.kind is DynkinKind.CUSTOM:
         raise OrthoweylError("cover completion needs positive roots (types B/D)")
-    node_matrices = [word_action_matrix(datum, node.word) for node in h.nodes]
-    by_matrix = {m: node.id for m, node in zip(node_matrices, h.nodes)}
+    roots = tuple(zip(positive_root_vectors(datum), positive_coroot_vectors(datum)))
+    index = {node.weight: node for node in h.nodes}
     # Found from scratch, not seeded with the walk edges: that the walk edges
     # reappear here is a checked invariant, not a construction artifact.
     covers = set()
-    for node, m in zip(h.nodes, node_matrices):
-        for refl in _reflection_matrices(datum):
-            target = by_matrix.get(mat_mul(refl, m))
-            if target is not None and h.nodes[target].length == node.length + 1:
-                covers.add((node.id, target))
+    for node in h.nodes:
+        x = node.weight
+        for beta, coroot in roots:
+            c = sum(map(mul, x, coroot))
+            if c == 0:
+                continue
+            y = tuple(xi - c * bi for xi, bi in zip(x, beta))
+            target = index.get(y)
+            if target is None:
+                raise OrthoweylError(f"orbit not closed: reflecting {x} gives {y}, not a node")
+            if target.length == node.length + 1:
+                covers.add((node.id, target.id))
     assert {(a, b) for a, b, _ in h.algo_edges} <= covers
     return replace(h, cover_edges=tuple(sorted(covers)))
 

@@ -45,6 +45,7 @@ __all__ = [
     "fundamental_weight",
     "positive_roots",
     "positive_root_vectors",
+    "positive_coroot_vectors",
     "to_epsilon",
     "from_epsilon",
     "is_regular_dominant",
@@ -315,14 +316,14 @@ def from_epsilon(datum: RootDatum, ew: EpsWeight) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _eps_positive_roots(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
+def _eps_positive_roots(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Positive roots in ε-coordinates, in a fixed deterministic order."""
     _require_bd(datum)
     k = datum.rank
-    roots: list[tuple[Fraction, ...]] = []
+    roots: list[tuple[int, ...]] = []
 
-    def vec(entries: dict[int, int]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(entries.get(i, 0)) for i in range(1, k + 1))
+    def vec(entries: dict[int, int]) -> tuple[int, ...]:
+        return tuple(entries.get(i, 0) for i in range(1, k + 1))
 
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
@@ -334,7 +335,7 @@ def _eps_positive_roots(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(roots)
 
 
-def _eps_to_weight_vector(datum: RootDatum, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _eps_to_weight_vector(datum: RootDatum, b: Sequence[int]) -> tuple[int, ...]:
     k = datum.rank
     if datum.kind is DynkinKind.B:
         c = [b[i] - b[i + 1] for i in range(k - 1)] + [2 * b[k - 1]]
@@ -347,11 +348,28 @@ def _eps_to_weight_vector(datum: RootDatum, b: Sequence[Fraction]) -> tuple[Frac
 @lru_cache(maxsize=None)
 def positive_root_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Positive roots as integer ϖ-coordinate vectors (types B and D)."""
+    return tuple(_eps_to_weight_vector(datum, b) for b in _eps_positive_roots(datum))
+
+
+@lru_cache(maxsize=None)
+def positive_coroot_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Positive coroots β^∨ as integer vectors m with ``<x, β^∨> = Σ_i x_i·m_i``.
+
+    For x in ϖ-coordinates ``m_i = <ϖ_i, β^∨> = 2(ϖ_i, β)/(β, β)``.  One vector
+    per positive root, in the order of :func:`positive_root_vectors`.
+    """
+    k = datum.rank
+    # 2ϖ_i in ε-coordinates (see to_epsilon); every entry is an integer.
+    doubled = [[2 if r <= i else 0 for r in range(k)] for i in range(k)]
+    doubled[k - 1] = [1] * k
+    if datum.kind is DynkinKind.D:
+        doubled[k - 2] = [1] * (k - 1) + [-1]
     out = []
-    for b in _eps_positive_roots(datum):
-        c = _eps_to_weight_vector(datum, b)
-        assert all(x.denominator == 1 for x in c)
-        out.append(tuple(int(x) for x in c))
+    for beta in _eps_positive_roots(datum):
+        norm = sum(b * b for b in beta)
+        pairings = [sum(w * b for w, b in zip(row, beta)) for row in doubled]
+        assert all(x % norm == 0 for x in pairings)
+        out.append(tuple(x // norm for x in pairings))
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import degree_support, evaluation_coefficient, kostant_record
+from .eisenstein import degree_support, evaluation_coefficient, parabolic_report
 from .hasse import build_hasse, length_histogram, with_bruhat_covers
 from .linform import LinearForm
 from .orthogroup import (
@@ -246,28 +246,25 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
             ok2, detail2 = True, ""
             for p in PARABOLICS:
                 dim = nilradical_dim(g, p)
-                for node in diagrams[p].nodes:
-                    rec = kostant_record(g, p, node.word, lam)
+                for rec in parabolic_report(g, p, lam, diagrams[p]).records:
                     a = rec.a_normalized.constant_value()
-                    if 2 * node.length < dim and not a < 0:
-                        ok, detail = False, f"{p.name} l={node.length}: a={a}"
-                    if 2 * node.length > dim and not a > 0:
-                        ok, detail = False, f"{p.name} l={node.length}: a={a}"
+                    if 2 * rec.length < dim and not a < 0:
+                        ok, detail = False, f"{p.name} l={rec.length}: a={a}"
+                    if 2 * rec.length > dim and not a > 0:
+                        ok, detail = False, f"{p.name} l={rec.length}: a={a}"
                     if any(f.constant_value() <= 0 for f in rec.mu_restricted):
-                        ok2, detail2 = False, f"{p.name} word {node.word}"
+                        ok2, detail2 = False, f"{p.name} word {rec.word}"
             out(CheckResult("sign-rule", n, "PASS" if ok else "FAIL", detail))
             out(CheckResult("mu-regular", n, "PASS" if ok2 else "FAIL", detail2))
 
             # Second parabolic: at the all-ones weight (the extreme point of
             # the regular dominant cone) the normalized coefficient takes a
             # single value per length.
-            ones = [1] * k
+            p2 = MaximalParabolic.P2
+            ones = Weight.from_constants([1] * k, k)
             per_length: dict[int, set[Fraction]] = {}
-            for node in diagrams[MaximalParabolic.P2].nodes:
-                value = evaluation_coefficient(
-                    g, MaximalParabolic.P2, node.word
-                ).evaluate(ones)
-                per_length.setdefault(node.length, set()).add(value)
+            for rec in parabolic_report(g, p2, ones, diagrams[p2]).records:
+                per_length.setdefault(rec.length, set()).add(rec.a_normalized.constant_value())
             bad = {l for l, vals in per_length.items() if len(vals) > 1}
             out(
                 CheckResult(

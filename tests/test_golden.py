@@ -1,8 +1,11 @@
-"""Byte identity of the record-carrying commands against stored digests.
+"""Byte identity of the CLI commands against stored digests.
 
 ``golden_digests.json`` holds the sha256 of the stdout of ``report``,
 ``kostant`` and ``lambdaw`` at n in {5, 6, 9, 10, 17}, in every format, with
-symbolic and numeric λ, as produced before the records engine was rewritten.
+symbolic and numeric λ, as produced before the records engine was rewritten;
+and of ``hasse`` (dot and json, with and without ``--covers``) and ``cosets``
+(text, csv and json) at n in {5, 6, 9, 10, 17, 21}, both parabolics, as
+produced before the walk and the cover completion were rewritten.
 """
 
 import hashlib

@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from orthoweyl.errors import OrthoweylError
 from orthoweyl.hasse import (
+    HasseDiagram,
+    HasseNode,
     ParabolicChoice,
     build_hasse,
     delta_weight,
@@ -12,8 +16,21 @@ from orthoweyl.hasse import (
     to_json_dict,
     with_bruhat_covers,
 )
-from orthoweyl.rootsystem import DynkinKind, Weight, custom_datum, make_datum, rho
-from orthoweyl.weylgroup import word_action_matrix
+from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
+from orthoweyl.rootsystem import (
+    DynkinKind,
+    Weight,
+    _eps_positive_roots,
+    custom_datum,
+    fundamental_weight,
+    make_datum,
+    positive_root_vectors,
+    reflect_vector,
+    rho,
+    simple_root_vector,
+    to_epsilon,
+)
+from orthoweyl.weylgroup import mat_mul, word_action_matrix
 
 B3 = make_datum(DynkinKind.B, 3)
 B4 = make_datum(DynkinKind.B, 4)
@@ -266,3 +283,106 @@ def test_json_export_shape():
     assert all(len(e) == 2 for e in payload["cover_edges"])
     json.dumps(payload)  # serializable
     assert to_json_dict(build_hasse(P2_B3))["cover_edges"] is None
+
+
+# --- the fast paths against the methods they replaced -------------------------
+
+
+def _inversion_set_walk(p: ParabolicChoice) -> HasseDiagram:
+    """The walk with an explicit inverse-inversion set per node.
+
+    A letter α is taken when α is not in the node's set ("do not go back") and
+    s_α moves the weight ("do not halt"); the child's set is {α} ∪ s_α(Φ).
+    """
+    datum = p.datum
+    k = datum.rank
+    delta = tuple(1 if i in p.crossed else 0 for i in range(1, k + 1))
+    words, weights, inversions = [()], [delta], [frozenset()]
+    index, edges = {delta: 0}, []
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for node_id in sorted(frontier, key=lambda i: words[i]):
+            x, inv = weights[node_id], inversions[node_id]
+            for j in range(1, k + 1):
+                alpha = simple_root_vector(datum, j)
+                if alpha in inv or x[j - 1] == 0:
+                    continue
+                y = reflect_vector(datum, j, x)
+                child = index.get(y)
+                if child is None:
+                    child = index[y] = len(words)
+                    words.append(words[node_id] + (j,))
+                    weights.append(y)
+                    inversions.append(
+                        frozenset({alpha} | {reflect_vector(datum, j, r) for r in inv})
+                    )
+                    next_frontier.append(child)
+                edges.append((node_id, child, j))
+        frontier = next_frontier
+    nodes = tuple(
+        HasseNode(i, words[i], weights[i], len(words[i])) for i in range(len(words))
+    )
+    return HasseDiagram(p, nodes, tuple(edges))
+
+
+def _matrix_covers(h: HasseDiagram) -> tuple[tuple[int, int], ...]:
+    """Covers as pairs (u, s_β·u) of group elements, compared as ϖ-action matrices."""
+    datum = h.parabolic.datum
+    k = datum.rank
+    eps_fund = [
+        [c.constant for c in to_epsilon(datum, fundamental_weight(datum, j)).coords]
+        for j in range(1, k + 1)
+    ]
+    reflections = []
+    for beta_eps, beta_w in zip(_eps_positive_roots(datum), positive_root_vectors(datum)):
+        norm = sum(x * x for x in beta_eps)
+        rows = []
+        for i in range(k):
+            row = []
+            for j in range(k):
+                t = Fraction(2 * sum(a * b for a, b in zip(eps_fund[j], beta_eps))) / norm
+                entry = (1 if i == j else 0) - t * beta_w[i]
+                assert entry.denominator == 1
+                row.append(int(entry))
+            rows.append(tuple(row))
+        reflections.append(tuple(rows))
+    matrices = [word_action_matrix(datum, node.word) for node in h.nodes]
+    by_matrix = {m: node.id for m, node in zip(matrices, h.nodes)}
+    covers = set()
+    for node, m in zip(h.nodes, matrices):
+        for refl in reflections:
+            target = by_matrix.get(mat_mul(refl, m))
+            if target is not None and h.nodes[target].length == node.length + 1:
+                covers.add((node.id, target))
+    return tuple(sorted(covers))
+
+
+def _choices(ns):
+    for n in ns:
+        g = group_spec(n)
+        for p in (MaximalParabolic.P1, MaximalParabolic.P2):
+            yield n, p, parabolic_choice(g, p)
+
+
+def test_covers_equal_matrix_method():
+    for n, p, choice in _choices(range(5, 16)):
+        h = with_bruhat_covers(build_hasse(choice))
+        assert h.cover_edges == _matrix_covers(h), (n, p)
+
+
+def test_walk_equals_inversion_set_walk():
+    for n, p, choice in _choices(range(5, 32)):
+        assert build_hasse(choice) == _inversion_set_walk(choice), (n, p)
+
+
+def test_covers_refuse_an_orbit_with_a_node_missing():
+    h = build_hasse(P2_D4)
+    dropped = h.nodes[5].id
+    broken = replace(
+        h,
+        nodes=tuple(node for node in h.nodes if node.id != dropped),
+        algo_edges=tuple(e for e in h.algo_edges if dropped not in e[:2]),
+    )
+    with pytest.raises(OrthoweylError, match="orbit not closed"):
+        with_bruhat_covers(broken)

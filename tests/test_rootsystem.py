@@ -17,6 +17,7 @@ from orthoweyl.rootsystem import (
     fundamental_weight,
     is_regular_dominant,
     make_datum,
+    positive_coroot_vectors,
     positive_root_vectors,
     positive_roots,
     rho,
@@ -152,3 +153,21 @@ def test_half_sum_of_positive_roots_is_rho():
         for v in positive_root_vectors(datum):
             total = [t + x for t, x in zip(total, v)]
         assert [t / 2 for t in total] == [1] * datum.rank
+
+
+@pytest.mark.parametrize(
+    "datum", [B3, D4, make_datum(DynkinKind.B, 6), make_datum(DynkinKind.D, 7)]
+)
+def test_coroots_pair_as_two_beta_over_norm(datum):
+    # <ϖ_i, β^∨> = 2(ϖ_i, β)/(β, β), computed here with exact ε-coordinates
+    k = datum.rank
+    fund = [to_epsilon(datum, fundamental_weight(datum, i)).coords for i in range(1, k + 1)]
+    roots = positive_root_vectors(datum)
+    coroots = positive_coroot_vectors(datum)
+    assert len(coroots) == len(roots)
+    for beta, coroot in zip(roots, coroots):
+        eps = [c.constant for c in to_epsilon(datum, Weight.from_constants(beta)).coords]
+        norm = sum(x * x for x in eps)
+        want = tuple(2 * sum(f.constant * x for f, x in zip(w, eps)) / norm for w in fund)
+        assert coroot == want
+        assert sum(b * c for b, c in zip(beta, coroot)) == 2
