@@ -50,11 +50,21 @@ from .rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
+    doubled_epsilon,
     positive_root_vectors,
     rho,
     simple_root_vector,
 )
-from .weylgroup import WeylWord, apply_word, mat_vec, word_action_matrix, word_length
+from .weylgroup import (
+    Columns,
+    WeylWord,
+    apply_word,
+    identity_matrix,
+    mat_vec,
+    times_generator,
+    word_action_matrix,
+    word_length,
+)
 
 __all__ = [
     "KostantRecord",
@@ -245,43 +255,16 @@ def _class_label(g: GroupSpec, p: MaximalParabolic) -> str:
 
 # --- records along the walk ---------------------------------------------------
 #
-# The action matrix of a node is its parent's times one generator:
-# A_{u·s_j} = A_u·S_j with S_j = I - c_j·e_j^T (c_j = row j of the pairing
-# matrix), which changes column j only.  Matrices are kept as column tuples, so
-# a node costs one new column, and every record is read off integer rows:
+# The action matrix of a node is its parent's times one generator,
+# A_{u·s_j} = A_u·S_j (weylgroup.times_generator), which changes column j
+# only.  Matrices are kept as column tuples, so a node costs one new column,
+# and every record is read off integer rows:
 #   w(λ+ρ)_i = Σ_j A[i][j]·(λ_j + 1),   wρ = row sums of A.
-
-Columns = tuple[tuple[int, ...], ...]
-
-
-def _times_generator(datum: RootDatum, cols: Columns, j: int) -> Columns:
-    """Columns of ``A·S_j``: column j becomes ``A·(e_j - c_j)``."""
-    terms = [(cols[i], c) for i, c in enumerate(datum.cartan[j - 1]) if c]
-    new = tuple(
-        x - sum(col[r] * c for col, c in terms) for r, x in enumerate(cols[j - 1])
-    )
-    return cols[: j - 1] + (new,) + cols[j:]
-
-
-def _doubled_epsilon(datum: RootDatum, vec: Sequence[int]) -> list[int]:
-    """2·ε-coordinates of an integer ϖ-coordinate vector (types B and D)."""
-    k = datum.rank
-    x = [0] * k
-    if datum.kind is DynkinKind.B:
-        x[k - 1] = vec[k - 1]
-        top = k - 1
-    else:
-        x[k - 2] = vec[k - 2] + vec[k - 1]
-        x[k - 1] = vec[k - 1] - vec[k - 2]
-        top = k - 2
-    for i in range(top - 1, -1, -1):
-        x[i] = x[i + 1] + 2 * vec[i]
-    return x
 
 
 def _length_of(datum: RootDatum, w_rho: Sequence[int]) -> int:
     """l(w) = #{β > 0 : (wρ, β) < 0}, from wρ in ϖ-coordinates."""
-    x = _doubled_epsilon(datum, w_rho)
+    x = doubled_epsilon(datum, w_rho)
     count = sum(1 for v in x if v < 0) if datum.kind is DynkinKind.B else 0
     for i, xi in enumerate(x):
         for xj in x[i + 1 :]:
@@ -331,8 +314,7 @@ def _walk_records(
         # λ + ρ as integers over the common denominator den.
         den = math.lcm(*(v.denominator for v in values))
         shifted = [int((v + 1) * den) for v in values]
-    ident = tuple(tuple(int(r == c) for r in range(k)) for c in range(k))
-    matrices: dict[WeylWord, Columns] = {(): ident}
+    matrices: dict[WeylWord, Columns] = {(): identity_matrix(k)}
     records = []
     for node in diagram.nodes:
         word = node.word
@@ -343,7 +325,7 @@ def _walk_records(
                 raise OrthoweylError(
                     f"word {word} has no parent {word[:-1]} earlier in the diagram"
                 )
-            cols = matrices[word] = _times_generator(datum, parent, word[-1])
+            cols = matrices[word] = times_generator(datum, parent, word[-1])
         rows = tuple(zip(*cols))
         w_rho = [sum(row) for row in rows]
         for j in range(1, k + 1):

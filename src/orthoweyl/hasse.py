@@ -88,12 +88,6 @@ class HasseDiagram:
     algo_edges: tuple[tuple[int, int, int], ...]  # (from, to, simple index)
     cover_edges: tuple[tuple[int, int], ...] | None = None  # None until computed
 
-    def node_by_weight(self, weight: tuple[int, ...]) -> HasseNode:
-        for node in self.nodes:
-            if node.weight == weight:
-                return node
-        raise KeyError(weight)
-
     @property
     def max_length(self) -> int:
         return max(node.length for node in self.nodes)

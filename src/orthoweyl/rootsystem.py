@@ -345,6 +345,22 @@ def _eps_to_weight_vector(datum: RootDatum, b: Sequence[int]) -> tuple[int, ...]
     return tuple(c)
 
 
+def doubled_epsilon(datum: RootDatum, vec: Sequence[int]) -> list[int]:
+    """Twice :func:`to_epsilon` of an integer ϖ-coordinate vector, in integers (B and D)."""
+    k = datum.rank
+    x = [0] * k
+    if datum.kind is DynkinKind.B:
+        x[k - 1] = vec[k - 1]
+        top = k - 1
+    else:
+        x[k - 2] = vec[k - 2] + vec[k - 1]
+        x[k - 1] = vec[k - 1] - vec[k - 2]
+        top = k - 2
+    for i in range(top - 1, -1, -1):
+        x[i] = x[i + 1] + 2 * vec[i]
+    return x
+
+
 @lru_cache(maxsize=None)
 def positive_root_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Positive roots as integer ϖ-coordinate vectors (types B and D)."""
@@ -359,11 +375,7 @@ def positive_coroot_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     per positive root, in the order of :func:`positive_root_vectors`.
     """
     k = datum.rank
-    # 2ϖ_i in ε-coordinates (see to_epsilon); every entry is an integer.
-    doubled = [[2 if r <= i else 0 for r in range(k)] for i in range(k)]
-    doubled[k - 1] = [1] * k
-    if datum.kind is DynkinKind.D:
-        doubled[k - 2] = [1] * (k - 1) + [-1]
+    doubled = [doubled_epsilon(datum, [int(r == i) for r in range(k)]) for i in range(k)]
     out = []
     for beta in _eps_positive_roots(datum):
         norm = sum(b * b for b in beta)

@@ -35,11 +35,10 @@ from .orthogroup import (
 from .rootsystem import Weight, positive_root_vectors, simple_root_vector
 from .weylgroup import (
     enumerate_group,
-    generator_matrix,
-    mat_mul,
+    inversion_vectors,
     mat_vec,
     minimal_reps_bruteforce,
-    inversion_vectors,
+    times_generator,
     word_action_matrix,
 )
 
@@ -184,7 +183,8 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
                 )
             )
 
-        # 5. back-or-forth alternative over the full group (harder guard)
+        # 5. back-or-forth alternative over the full group (harder guard),
+        # right-handed: l(w·s_j) = l(w) - 1 if w(α_j) < 0, else l(w) + 1.
         if k > BACK_OR_FORTH_MAX_RANK:
             out(CheckResult("back-or-forth", n, "SKIP", f"rank {k} > {BACK_OR_FORTH_MAX_RANK}"))
         else:
@@ -192,15 +192,14 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
             elements = enumerate_group(g.datum)
             length_by_matrix = {e.matrix: len(e.word) for e in elements}
             posset = set(posroots)
-            gens = [generator_matrix(g.datum, j) for j in range(1, k + 1)]
             alphas = [simple_root_vector(g.datum, j) for j in range(1, k + 1)]
             for e in elements:
-                inv_matrix = word_action_matrix(g.datum, tuple(reversed(e.word)))
+                cols = tuple(zip(*e.matrix))
                 for j in range(1, k + 1):
-                    image = mat_vec(inv_matrix, alphas[j - 1])
-                    in_inversions = tuple(-x for x in image) in posset
-                    l_next = length_by_matrix[mat_mul(gens[j - 1], e.matrix)]
-                    expected = len(e.word) + (-1 if in_inversions else 1)
+                    image = mat_vec(e.matrix, alphas[j - 1])
+                    descent = tuple(-x for x in image) in posset
+                    l_next = length_by_matrix[tuple(zip(*times_generator(g.datum, cols, j)))]
+                    expected = len(e.word) + (-1 if descent else 1)
                     if l_next != expected:
                         ok, detail = False, f"w={e.word}, j={j}"
                         break

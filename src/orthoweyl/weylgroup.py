@@ -7,6 +7,10 @@ Composition convention.  A word ``(i1, i2, ..., im)`` denotes the product
 ``word_action_matrix(d, word) = S_{i1} @ S_{i2} @ ... @ S_{im}``.  This matches
 reading edge labels of an orbit diagram from left to right along a path.
 
+The one integer generator action is :func:`times_generator`, ``A -> A·S_j``,
+which changes column j only; ``word_action_matrix`` is a fold of these column
+updates from the identity (O(len(word)·k)), ``generator_matrix`` one update.
+
 The inverse of a word is its reversal (each generator is an involution).
 """
 
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,21 +81,26 @@ def identity_matrix(rank: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
+Columns = tuple[tuple[int, ...], ...]  # a matrix as the tuple of its columns
+
+
+def times_generator(datum: RootDatum, cols: Columns, j: int) -> Columns:
+    """Columns of ``A·S_j``: column j becomes ``A·(e_j - c_j)``, c_j = pairing row j."""
+    terms = [(cols[i], c) for i, c in enumerate(datum.cartan[j - 1]) if c]
+    new = tuple(
+        x - sum(col[r] * c for col, c in terms) for r, x in enumerate(cols[j - 1])
+    )
+    return cols[: j - 1] + (new,) + cols[j:]
+
+
 @lru_cache(maxsize=None)
 def generator_matrix(datum: RootDatum, j: int) -> Matrix:
     """Matrix of s_j acting on ϖ-coordinate column vectors."""
-    if not 1 <= j <= datum.rank:
-        raise IndexRangeError(f"letter {j} outside 1..{datum.rank}")
-    k = datum.rank
-    row = datum.cartan[j - 1]
-    return tuple(
-        tuple((1 if i == jj else 0) - (row[i] if jj == j - 1 else 0) for jj in range(k))
-        for i in range(k)
-    )
+    _check_letters(datum, (j,))
+    return tuple(zip(*times_generator(datum, identity_matrix(datum.rank), j)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
@@ -103,8 +112,10 @@ def mat_vec(m: Matrix, v: Sequence[int]) -> tuple[int, ...]:
 def word_action_matrix(datum: RootDatum, word: Sequence[int]) -> Matrix:
     """Matrix M with ``apply_word(d, word, x) = M·x``; identity for the empty word."""
     _check_letters(datum, word)
-    mats = [generator_matrix(datum, j) for j in word]
-    return reduce(mat_mul, mats, identity_matrix(datum.rank))
+    cols = identity_matrix(datum.rank)
+    for j in word:
+        cols = times_generator(datum, cols, j)
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@
 symbolic and numeric λ, as produced before the records engine was rewritten;
 and of ``hasse`` (dot and json, with and without ``--covers``) and ``cosets``
 (text, csv and json) at n in {5, 6, 9, 10, 17, 21}, both parabolics, as
-produced before the walk and the cover completion were rewritten.
+produced before the walk and the cover completion were rewritten; and of
+``verify --n-max 9`` (text and json), which runs back-or-forth on B5 and D5,
+as produced before the action matrices became folds of column updates.
 """
 
 import hashlib

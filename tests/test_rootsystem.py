@@ -12,7 +12,9 @@ from orthoweyl.linform import LinearForm
 from orthoweyl.rootsystem import (
     DynkinKind,
     Weight,
+    _eps_positive_roots,
     custom_datum,
+    doubled_epsilon,
     from_epsilon,
     fundamental_weight,
     is_regular_dominant,
@@ -171,3 +173,36 @@ def test_coroots_pair_as_two_beta_over_norm(datum):
         want = tuple(2 * sum(f.constant * x for f, x in zip(w, eps)) / norm for w in fund)
         assert coroot == want
         assert sum(b * c for b, c in zip(beta, coroot)) == 2
+
+
+def _literal_coroot_vectors(datum):
+    """Coroots from hand-written rows 2ϖ_i in ε-coordinates."""
+    k = datum.rank
+    doubled = [[2 if r <= i else 0 for r in range(k)] for i in range(k)]
+    doubled[k - 1] = [1] * k
+    if datum.kind is DynkinKind.D:
+        doubled[k - 2] = [1] * (k - 1) + [-1]
+    out = []
+    for beta in _eps_positive_roots(datum):
+        norm = sum(b * b for b in beta)
+        out.append(tuple(sum(w * b for w, b in zip(row, beta)) // norm for row in doubled))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "kind, k",
+    [(DynkinKind.B, k) for k in range(3, 13)] + [(DynkinKind.D, k) for k in range(4, 13)],
+)
+def test_coroot_vectors_equal_literal_rows(kind, k):
+    datum = make_datum(kind, k)
+    assert positive_coroot_vectors(datum) == _literal_coroot_vectors(datum)
+
+
+EPS_DATA = [B3, D4, make_datum(DynkinKind.B, 5), make_datum(DynkinKind.D, 6)]
+
+
+@given(st.sampled_from(EPS_DATA), st.data())
+def test_doubled_epsilon_is_twice_to_epsilon(datum, data):
+    vec = data.draw(st.lists(st.integers(-6, 6), min_size=datum.rank, max_size=datum.rank))
+    eps = to_epsilon(datum, const(vec)).coords
+    assert doubled_epsilon(datum, vec) == [2 * c.constant for c in eps]

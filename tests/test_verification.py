@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from orthoweyl.verification import (
@@ -58,3 +60,26 @@ def test_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(verification, "expected_coset_count", lambda g, p: -1)
     results = verification.run_verification(5)
     assert any(r.check == "counts" and r.status == "FAIL" for r in results)
+
+
+def test_back_or_forth_failure_is_reported(monkeypatch):
+    import orthoweyl.verification as verification
+    from orthoweyl.weylgroup import enumerate_group
+
+    tampered = group_spec(7).datum
+
+    def swapped(datum):
+        elements = list(enumerate_group(datum))
+        if datum == tampered:
+            # s1 (length 1) and s1·s2 (length 2) trade words
+            a = next(i for i, e in enumerate(elements) if e.word == (1,))
+            b = next(i for i, e in enumerate(elements) if e.word == (1, 2))
+            ea, eb = elements[a], elements[b]
+            elements[a] = replace(ea, word=eb.word)
+            elements[b] = replace(eb, word=ea.word)
+        return tuple(elements)
+
+    monkeypatch.setattr(verification, "enumerate_group", swapped)
+    status = {(r.check, r.n): r.status for r in verification.run_verification(7)}
+    assert status[("back-or-forth", 7)] == "FAIL"
+    assert status[("back-or-forth", 5)] == status[("back-or-forth", 6)] == "PASS"

@@ -1,16 +1,23 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
 from orthoweyl.errors import IndexRangeError, RankGuardError
+from orthoweyl.hasse import build_hasse
+from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import DynkinKind, Weight, make_datum
 from orthoweyl.weylgroup import (
     apply_word,
     enumerate_group,
     generator_matrix,
+    identity_matrix,
     inversion_set,
     inversion_vectors,
+    mat_mul,
     minimal_reps_bruteforce,
     render_word,
+    times_generator,
     word_action_matrix,
     word_length,
 )
@@ -138,3 +145,66 @@ def test_inverse_is_reversal(u):
 
     identity = word_action_matrix(B3, ())
     assert mat_mul(word_action_matrix(B3, u), word_action_matrix(B3, tuple(reversed(u)))) == identity
+
+
+# --- the column-update action against a product of full generator matrices ---
+
+
+def _reference_generator(datum, j):
+    """S_j entry by entry: δ_{i,jj} - <α_j, α_i^∨>·δ_{jj,j}."""
+    k = datum.rank
+    row = datum.cartan[j - 1]
+    return tuple(
+        tuple((1 if i == jj else 0) - (row[i] if jj == j - 1 else 0) for jj in range(k))
+        for i in range(k)
+    )
+
+
+def _reference_word_matrix(datum, word):
+    """S_{i1}·…·S_{im} as a product of full matrices."""
+    mats = [_reference_generator(datum, j) for j in word]
+    return reduce(mat_mul, mats, identity_matrix(datum.rank))
+
+
+FOLD_DATA = {
+    "B3": B3,
+    "B4": make_datum(DynkinKind.B, 4),
+    "D4": D4,
+    "D5": make_datum(DynkinKind.D, 5),
+}
+
+
+def test_generator_matrix_equals_reference():
+    for datum in FOLD_DATA.values():
+        for j in range(1, datum.rank + 1):
+            assert generator_matrix(datum, j) == _reference_generator(datum, j)
+    with pytest.raises(IndexRangeError):
+        generator_matrix(B3, 4)
+
+
+@given(st.sampled_from(sorted(FOLD_DATA)), st.data())
+def test_word_action_matrix_equals_matrix_product(name, data):
+    datum = FOLD_DATA[name]
+    word = data.draw(st.lists(st.integers(1, datum.rank), max_size=12).map(tuple))
+    assert word_action_matrix(datum, word) == _reference_word_matrix(datum, word)
+
+
+@given(st.sampled_from(sorted(FOLD_DATA)), st.data())
+def test_times_generator_is_right_multiplication(name, data):
+    datum = FOLD_DATA[name]
+    k = datum.rank
+    entries = st.lists(st.integers(-9, 9), min_size=k, max_size=k).map(tuple)
+    a = data.draw(st.lists(entries, min_size=k, max_size=k).map(tuple))
+    j = data.draw(st.integers(1, k))
+    columns = tuple(zip(*a))
+    got = tuple(zip(*times_generator(datum, columns, j)))
+    assert got == mat_mul(a, generator_matrix(datum, j))
+
+
+@pytest.mark.parametrize("n", range(5, 14))
+def test_word_action_matrix_on_every_walk_word(n):
+    g = group_spec(n)
+    for p in (MaximalParabolic.P1, MaximalParabolic.P2):
+        for node in build_hasse(parabolic_choice(g, p)).nodes:
+            want = _reference_word_matrix(g.datum, node.word)
+            assert word_action_matrix(g.datum, node.word) == want
