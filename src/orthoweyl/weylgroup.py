@@ -100,11 +100,6 @@ def generator_matrix(datum: RootDatum, j: int) -> Matrix:
     return tuple(zip(*times_generator(datum, identity_matrix(datum.rank), j)))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_vec(m: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
@@ -202,8 +197,7 @@ def enumerate_group(datum: RootDatum) -> tuple[GroupElement, ...]:
             )
         frontier = next_frontier
     elements = [
-        GroupElement(tuple(tuple(int(x) for x in row) for row in m), w)
-        for m, w in zip(mats, words)
+        GroupElement(tuple(map(tuple, m.tolist())), w) for m, w in zip(mats, words)
     ]
     elements.sort(key=lambda e: (len(e.word), e.word))
     return tuple(elements)

@@ -232,7 +232,8 @@ def test_criterion_5_property_suite():
 
     # back-or-forth alternative over the whole group, rank <= 5
     from orthoweyl.rootsystem import positive_root_vectors, simple_root_vector
-    from orthoweyl.weylgroup import generator_matrix, mat_mul, mat_vec
+    from conftest import mat_mul
+    from orthoweyl.weylgroup import generator_matrix, mat_vec
 
     for n in (5, 6, 7, 8, 9):
         g = group_spec(n)

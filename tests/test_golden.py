@@ -7,7 +7,10 @@ and of ``hasse`` (dot and json, with and without ``--covers``) and ``cosets``
 (text, csv and json) at n in {5, 6, 9, 10, 17, 21}, both parabolics, as
 produced before the walk and the cover completion were rewritten; and of
 ``verify --n-max 9`` (text and json), which runs back-or-forth on B5 and D5,
-as produced before the action matrices became folds of column updates.
+as produced before the action matrices became folds of column updates; and
+of ``verify --n-max 10`` (text and json), the only run with the rank-6
+``oracle`` and ``group-order`` rows, as produced before those rows moved to a
+signed-permutation closure.
 """
 
 import hashlib

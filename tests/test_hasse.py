@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mat_mul
 from orthoweyl.errors import OrthoweylError
 from orthoweyl.hasse import (
     HasseDiagram,
@@ -30,7 +31,7 @@ from orthoweyl.rootsystem import (
     simple_root_vector,
     to_epsilon,
 )
-from orthoweyl.weylgroup import mat_mul, word_action_matrix
+from orthoweyl.weylgroup import word_action_matrix
 
 B3 = make_datum(DynkinKind.B, 3)
 B4 = make_datum(DynkinKind.B, 4)
@@ -203,7 +204,7 @@ def test_cover_targets_left_multiply_by_reflections():
     # every cover pair (u, w) satisfies w·u^{-1} = a reflection: an involution
     # whose fixed space has codimension one
     h = with_bruhat_covers(build_hasse(P2_D4))
-    from orthoweyl.weylgroup import identity_matrix, mat_mul
+    from orthoweyl.weylgroup import identity_matrix
 
     for a, b in h.cover_edges:
         m_a_inv = word_action_matrix(D4, tuple(reversed(h.nodes[a].word)))

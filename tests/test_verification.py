@@ -2,14 +2,36 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import diagram
+from orthoweyl.cli import main
+from orthoweyl.errors import OrthoweylError
 from orthoweyl.verification import (
+    PARABOLICS,
     CheckResult,
     expected_coset_count,
     expected_group_order,
     format_results,
+    generator_permutations,
+    minimal_inverses,
     run_verification,
+    signed_permutation_closure,
+    word_inverse,
 )
-from orthoweyl.orthogroup import MaximalParabolic, group_spec
+from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec
+from orthoweyl.rootsystem import (
+    DynkinKind,
+    _eps_to_weight_vector,
+    custom_datum,
+    doubled_epsilon,
+    make_datum,
+)
+from orthoweyl.weylgroup import (
+    enumerate_group,
+    generator_matrix,
+    mat_vec,
+    minimal_reps_bruteforce,
+    word_action_matrix,
+)
 
 
 def test_expected_formulas():
@@ -83,3 +105,128 @@ def test_back_or_forth_failure_is_reported(monkeypatch):
     status = {(r.check, r.n): r.status for r in verification.run_verification(7)}
     assert status[("back-or-forth", 7)] == "FAIL"
     assert status[("back-or-forth", 5)] == status[("back-or-forth", 6)] == "PASS"
+
+
+# --- the signed-permutation oracle against the ϖ-matrix reference ---
+
+
+def _as_signed_permutation(datum, matrix):
+    """The signed permutation of ε_1..ε_k that a ϖ-coordinate action matrix is."""
+    k = datum.rank
+    perm = []
+    for i in range(k):
+        unit = [int(m == i) for m in range(k)]
+        image = doubled_epsilon(datum, mat_vec(matrix, _eps_to_weight_vector(datum, unit)))
+        ((m, x),) = [(m, x) for m, x in enumerate(image) if x]
+        assert abs(x) == 2
+        perm.append(m + 1 if x > 0 else -(m + 1))
+    return tuple(perm)
+
+
+SMALL_DATA = [make_datum(DynkinKind.B, k) for k in range(3, 7)] + [
+    make_datum(DynkinKind.D, k) for k in range(4, 7)
+]
+
+
+@pytest.mark.parametrize(
+    "datum",
+    SMALL_DATA + [make_datum(DynkinKind.B, 12), make_datum(DynkinKind.D, 12)],
+    ids=repr,
+)
+def test_generator_permutations_agree_with_generator_matrix(datum):
+    gens = generator_permutations(datum)
+    assert len(gens) == datum.rank
+    for j, perm in enumerate(gens, start=1):
+        assert perm == _as_signed_permutation(datum, generator_matrix(datum, j))
+
+
+def test_generator_permutations_refuse_a_non_signed_permutation():
+    g2 = custom_datum([[2, -1], [-3, 2]])
+    with pytest.raises(OrthoweylError, match="not a signed permutation"):
+        generator_permutations(g2)
+
+
+@pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
+def test_closure_is_the_enumerated_group(datum):
+    # uncached, so the rank-6 groups are not kept for the rest of the session
+    elements = enumerate_group.__wrapped__(datum)
+    closure = signed_permutation_closure(generator_permutations(datum))
+    assert len(closure) == len(elements)
+    if datum.rank <= 5:
+        assert closure == {_as_signed_permutation(datum, e.matrix) for e in elements}
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_oracle_set_equals_bruteforce(n):
+    g = group_spec(n)
+    gens = generator_permutations(g.datum)
+    group = signed_permutation_closure(gens)
+    for p in PARABOLICS:
+        crossed = crossed_simple_roots(g, p)
+        want = {
+            _as_signed_permutation(g.datum, word_action_matrix(g.datum, tuple(reversed(w))))
+            for w in minimal_reps_bruteforce(g.datum, crossed)
+        }
+        assert minimal_inverses(g.datum, group, crossed) == want
+        assert {word_inverse(gens, nd.word) for nd in diagram(n, p).nodes} == want
+
+
+def test_oracle_failure_is_reported(monkeypatch):
+    import orthoweyl.verification as verification
+
+    original = verification._diagrams
+
+    def tampered(g):
+        diagrams = dict(original(g))
+        h = diagrams[MaximalParabolic.P2]
+        # a childless node takes the word of the node before it, of the same length
+        nodes = list(h.nodes)
+        parents = {nd.word[:-1] for nd in nodes}
+        b = next(
+            i
+            for i in range(1, len(nodes))
+            if nodes[i - 1].length == nodes[i].length and nodes[i].word not in parents
+        )
+        nodes[b] = replace(nodes[b], word=nodes[b - 1].word)
+        diagrams[MaximalParabolic.P2] = replace(h, nodes=tuple(nodes))
+        return diagrams
+
+    monkeypatch.setattr(verification, "_diagrams", tampered)
+    row = next(r for r in verification.run_verification(5) if r.check == "oracle")
+    assert row.status == "FAIL"
+    assert row.detail == "P2: walk 11 vs oracle 12; symmetric difference 1"
+
+
+def test_group_order_failure_is_reported(monkeypatch):
+    import orthoweyl.verification as verification
+
+    original = verification.generator_permutations
+
+    def one_wrong(datum):
+        gens = original(datum)
+        return (tuple(range(1, datum.rank + 1)),) + gens[1:]
+
+    monkeypatch.setattr(verification, "generator_permutations", one_wrong)
+    row = next(r for r in verification.run_verification(5) if r.check == "group-order")
+    assert row.status == "FAIL"
+    assert row.detail.endswith("!= 48")
+
+
+def test_verify_ten_enumerates_no_rank_six_group(monkeypatch, capsys):
+    import orthoweyl.verification as verification
+    import orthoweyl.weylgroup as weylgroup
+
+    ranks = []
+    original = weylgroup.enumerate_group
+
+    def counting(datum):
+        ranks.append(datum.rank)
+        return original(datum)
+
+    monkeypatch.setattr(weylgroup, "enumerate_group", counting)
+    monkeypatch.setattr(verification, "enumerate_group", counting)
+    assert main(["verify", "--n-max", "10"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    status = {(r[0], r[1]): r[2] for r in rows if len(r) > 2 and r[1].startswith("n=")}
+    assert status[("oracle", "n=10")] == status[("group-order", "n=10")] == "PASS"
+    assert ranks and 6 not in ranks  # back-or-forth still enumerates ranks 3..5

@@ -3,6 +3,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import mat_mul
 from orthoweyl.errors import IndexRangeError, RankGuardError
 from orthoweyl.hasse import build_hasse
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
@@ -14,7 +15,6 @@ from orthoweyl.weylgroup import (
     identity_matrix,
     inversion_set,
     inversion_vectors,
-    mat_mul,
     minimal_reps_bruteforce,
     render_word,
     times_generator,
@@ -132,8 +132,6 @@ def test_word_concatenation_is_composition(u, v, vec):
 
 @given(words_b3, words_b3)
 def test_action_matrix_is_multiplicative(u, v):
-    from orthoweyl.weylgroup import mat_mul
-
     assert word_action_matrix(B3, u + v) == mat_mul(
         word_action_matrix(B3, u), word_action_matrix(B3, v)
     )
@@ -141,8 +139,6 @@ def test_action_matrix_is_multiplicative(u, v):
 
 @given(words_b3)
 def test_inverse_is_reversal(u):
-    from orthoweyl.weylgroup import mat_mul
-
     identity = word_action_matrix(B3, ())
     assert mat_mul(word_action_matrix(B3, u), word_action_matrix(B3, tuple(reversed(u)))) == identity
 
