@@ -4,7 +4,8 @@ A :class:`LinearForm` is ``constant + sum(c_i * λ_i)`` with all coefficients
 stored as :class:`fractions.Fraction`, so arithmetic never rounds.  Forms are
 immutable, hashable and kept in canonical shape (no zero coefficients, indices
 ascending), which makes structural equality the same thing as mathematical
-equality.
+equality.  :meth:`LinearForm.make` builds that shape from any input;
+arithmetic on forms already in it keeps it without going through ``make``.
 
 Rendering contract (used verbatim in CSV/JSON table cells): terms in ascending
 variable index, ``λ{i}`` tokens, non-integer coefficients as ``(p/q)``, the
@@ -114,8 +115,9 @@ class LinearForm:
         self._check_same_universe(other)
         acc = dict(self.coeffs)
         for i, c in other.coeffs:
-            acc[i] = acc.get(i, Fraction(0)) + c
-        return LinearForm.make(self.nvars, self.constant + other.constant, acc)
+            acc[i] = acc[i] + c if i in acc else c
+        coeffs = tuple(sorted((i, c) for i, c in acc.items() if c))
+        return LinearForm(self.nvars, self.constant + other.constant, coeffs)
 
     def __neg__(self) -> "LinearForm":
         return self.scale(-1)
@@ -127,8 +129,10 @@ class LinearForm:
 
     def scale(self, factor: RationalLike) -> "LinearForm":
         f = Fraction(factor)
-        return LinearForm.make(
-            self.nvars, self.constant * f, {i: c * f for i, c in self.coeffs}
+        if not f:
+            return LinearForm(self.nvars, f, ())
+        return LinearForm(
+            self.nvars, self.constant * f, tuple([(i, c * f) for i, c in self.coeffs])
         )
 
     def __mul__(self, factor: RationalLike) -> "LinearForm":

@@ -7,14 +7,14 @@ oracle, palindromic length counts, restriction recombination, antipodal
 antisymmetry of the evaluation coefficients, sign rules at random regular
 weights, regularity propagation, and the degree-support tiling.
 
-The ``oracle`` and ``group-order`` rows work in ε-coordinates, where W(B_k)
-and W(D_k) are signed-permutation groups (Björner–Brenti, ch. 8).  Each
-generator s_j is found by reflecting every ε_i in α_j; the group is the
-breadth-first closure of those k signed permutations, and ``group-order`` is
-its size.  ``oracle`` keeps each u in it with u(α_j) > 0 for every uncrossed
-j (a root is positive when its first nonzero ε-coordinate is) and compares
-that set with w^{-1} of every walk word.  ``back-or-forth`` still runs over
-the ϖ-matrices of :func:`~orthoweyl.weylgroup.enumerate_group`.
+The ``oracle``, ``group-order`` and ``back-or-forth`` rows work in
+ε-coordinates, where W(B_k) and W(D_k) are signed-permutation groups
+(Björner–Brenti, ch. 8).  Each s_j reflects every ε_i in α_j; the group is the
+breadth-first closure of those k signed permutations, with each element's BFS
+layer as its length, and ``group-order`` is its size.  A root is positive when
+its first nonzero ε-coordinate is.  ``oracle`` keeps each u with u(α_j) > 0
+for every uncrossed j and compares that set with w^{-1} of every walk word.
+``back-or-forth`` checks l(u∘s_j) = l(u) ∓ 1 as u(α_j) is negative or positive.
 
 Factorial-size checks (full-group enumeration) run only while the rank is
 small; above the guard they are reported as skipped, never silently dropped.
@@ -49,17 +49,12 @@ from .rootsystem import (
     positive_root_vectors,
     simple_root_vector,
 )
-from .weylgroup import (
-    WeylWord,
-    enumerate_group,
-    inversion_vectors,
-    mat_vec,
-    times_generator,
-)
+from .weylgroup import WeylWord, inversion_vectors
 
 __all__ = ["CheckResult", "run_verification", "format_results"]
 
-#: Full-group checks run only for ranks up to these bounds.
+#: Full-group checks run only for ranks up to these bounds.  Back-or-forth
+#: reads the group that the oracle check builds, so its bound is the lower.
 ORACLE_MAX_RANK = 6
 BACK_OR_FORTH_MAX_RANK = 5
 #: From-scratch inversion sets are recomputed only below this work estimate.
@@ -143,26 +138,29 @@ def generator_permutations(datum: RootDatum) -> tuple[SignedPermutation, ...]:
 
 def _compose(u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
     """u∘v: v acts first."""
-    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
+    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
 
 
 def signed_permutation_closure(
     gens: tuple[SignedPermutation, ...],
-) -> set[SignedPermutation]:
-    """The group generated by ``gens``, by breadth-first closure from the identity."""
+) -> dict[SignedPermutation, int]:
+    """The group generated by ``gens``, each element with its breadth-first layer.
+
+    That layer is the length when ``gens`` are the simple reflections.
+    """
     ident = tuple(range(1, len(gens[0]) + 1))
-    seen = {ident}
+    length = {ident: 0}
     frontier = [ident]
     while frontier:
         fresh = []
         for u in frontier:
             for s in gens:
                 v = _compose(u, s)
-                if v not in seen:
-                    seen.add(v)
+                if v not in length:
+                    length[v] = length[u] + 1
                     fresh.append(v)
         frontier = fresh
-    return seen
+    return length
 
 
 def word_inverse(gens: tuple[SignedPermutation, ...], word: WeylWord) -> SignedPermutation:
@@ -173,26 +171,29 @@ def word_inverse(gens: tuple[SignedPermutation, ...], word: WeylWord) -> SignedP
     return u
 
 
-def minimal_inverses(
-    datum: RootDatum, group: set[SignedPermutation], crossed: frozenset[int]
-) -> set[SignedPermutation]:
-    """Every u in ``group`` with u(α_j) > 0 for each uncrossed j.
+def _root_terms(datum: RootDatum, j: int) -> list[tuple[int, int]]:
+    """The nonzero ε-coordinates of 2α_j, as (index, value) pairs."""
+    a = doubled_epsilon(datum, simple_root_vector(datum, j))
+    return [(i, c) for i, c in enumerate(a) if c]
+
+
+def _sends_positive(u: SignedPermutation, terms: list[tuple[int, int]]) -> bool:
+    """Whether u maps the root with these ε-terms to a positive root.
 
     A root is positive when its first nonzero ε-coordinate is.  The images of
-    the ε-terms of α_j land on distinct coordinates, so that coordinate is the
+    the terms land on distinct coordinates, so that coordinate is the
     smallest one hit.
     """
-    terms = [
-        [(i, c) for i, c in enumerate(doubled_epsilon(datum, simple_root_vector(datum, j))) if c]
-        for j in range(1, datum.rank + 1)
-        if j not in crossed
-    ]
+    _, c = min((abs(u[i]), c if u[i] > 0 else -c) for i, c in terms)
+    return c > 0
 
-    def positive(u: SignedPermutation, alpha: list[tuple[int, int]]) -> bool:
-        _, c = min((abs(u[i]), c if u[i] > 0 else -c) for i, c in alpha)
-        return c > 0
 
-    return {u for u in group if all(positive(u, alpha) for alpha in terms)}
+def minimal_inverses(
+    datum: RootDatum, group: dict[SignedPermutation, int], crossed: frozenset[int]
+) -> set[SignedPermutation]:
+    """Every u in ``group`` with u(α_j) > 0 for each uncrossed j."""
+    terms = [_root_terms(datum, j) for j in range(1, datum.rank + 1) if j not in crossed]
+    return {u for u in group if all(_sends_positive(u, t) for t in terms)}
 
 
 def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
@@ -280,25 +281,17 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
                 )
             )
 
-        # 5. back-or-forth alternative over the full group (harder guard),
-        # right-handed: l(w·s_j) = l(w) - 1 if w(α_j) < 0, else l(w) + 1.
+        # 5. back-or-forth over check 4's closure (harder guard), right-handed:
+        # l(u∘s_j) = l(u) - 1 if u(α_j) < 0, else l(u) + 1.
         if k > BACK_OR_FORTH_MAX_RANK:
             out(CheckResult("back-or-forth", n, "SKIP", f"rank {k} > {BACK_OR_FORTH_MAX_RANK}"))
         else:
             ok, detail = True, ""
-            elements = enumerate_group(g.datum)
-            length_by_matrix = {e.matrix: len(e.word) for e in elements}
-            posset = set(posroots)
-            alphas = [simple_root_vector(g.datum, j) for j in range(1, k + 1)]
-            for e in elements:
-                cols = tuple(zip(*e.matrix))
-                for j in range(1, k + 1):
-                    image = mat_vec(e.matrix, alphas[j - 1])
-                    descent = tuple(-x for x in image) in posset
-                    l_next = length_by_matrix[tuple(zip(*times_generator(g.datum, cols, j)))]
-                    expected = len(e.word) + (-1 if descent else 1)
-                    if l_next != expected:
-                        ok, detail = False, f"w={e.word}, j={j}"
+            alphas = [_root_terms(g.datum, j) for j in range(1, k + 1)]
+            for u, l in group.items():
+                for j, (s, alpha) in enumerate(zip(gens, alphas), start=1):
+                    if group[_compose(u, s)] != (l + 1 if _sends_positive(u, alpha) else l - 1):
+                        ok, detail = False, f"w={u}, j={j}"
                         break
                 if not ok:
                     break

@@ -98,3 +98,62 @@ def test_parse_rational_rejects_zero_denominator():
     assert parse_rational(" -6 / 4 ") == Q(-3, 2)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+# --- arithmetic keeps the canonical shape without going through make ---
+
+
+def _assert_canonical(f):
+    indices = [i for i, _ in f.coeffs]
+    assert indices == sorted(set(indices))
+    assert all(1 <= i <= f.nvars for i in indices)
+    assert all(type(c) is Q and c != 0 for _, c in f.coeffs)
+    assert type(f.constant) is Q
+
+
+@st.composite
+def form_pairs(draw, k=3):
+    """Two forms, where b may cancel any of a's terms, or all of a."""
+    a = draw(forms(k))
+    if draw(st.booleans()):
+        return a, -a
+    coeffs = {}
+    for i in draw(st.sets(st.integers(1, k))):
+        coeffs[i] = draw(st.one_of(rationals, st.just(-a.coefficient(i))))
+    return a, LinearForm.make(k, draw(st.one_of(rationals, st.just(-a.constant))), coeffs)
+
+
+def _dict_sum(a, b, sign=1):
+    coeffs = dict(a.coeffs)
+    for i, c in b.coeffs:
+        coeffs[i] = coeffs.get(i, 0) + sign * c
+    return LinearForm.make(a.nvars, a.constant + sign * b.constant, coeffs)
+
+
+@given(form_pairs(), st.one_of(st.just(Q(0)), st.just(0), rationals, st.integers(-5, 5)))
+def test_arithmetic_fast_path_equals_make(pair, q):
+    a, b = pair
+    scaled = LinearForm.make(a.nvars, a.constant * q, {i: c * q for i, c in a.coeffs})
+    cases = [
+        (a + b, _dict_sum(a, b)),
+        (a - b, _dict_sum(a, b, -1)),
+        (-a, LinearForm.make(a.nvars, -a.constant, {i: -c for i, c in a.coeffs})),
+        (a.scale(q), scaled),
+        (q * a, scaled),
+    ]
+    if q:
+        divided = LinearForm.make(a.nvars, a.constant / q, {i: c / q for i, c in a.coeffs})
+        cases.append((a / q, divided))
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got == want
+        assert hash(got) == hash(want)
+
+
+@given(forms(k=3), forms(k=4))
+def test_arithmetic_refuses_mixed_universes(a, b):
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(DimensionError):
+            op(a, b)
+        with pytest.raises(DimensionError):
+            op(b, a)

@@ -24,6 +24,7 @@ from orthoweyl.rootsystem import (
     custom_datum,
     doubled_epsilon,
     make_datum,
+    positive_root_vectors,
 )
 from orthoweyl.weylgroup import (
     enumerate_group,
@@ -86,25 +87,24 @@ def test_mutation_is_caught(monkeypatch):
 
 def test_back_or_forth_failure_is_reported(monkeypatch):
     import orthoweyl.verification as verification
-    from orthoweyl.weylgroup import enumerate_group
 
-    tampered = group_spec(7).datum
+    original = verification.signed_permutation_closure
+    tampered = generator_permutations(group_spec(7).datum)  # B4
 
-    def swapped(datum):
-        elements = list(enumerate_group(datum))
-        if datum == tampered:
-            # s1 (length 1) and s1·s2 (length 2) trade words
-            a = next(i for i, e in enumerate(elements) if e.word == (1,))
-            b = next(i for i, e in enumerate(elements) if e.word == (1, 2))
-            ea, eb = elements[a], elements[b]
-            elements[a] = replace(ea, word=eb.word)
-            elements[b] = replace(eb, word=ea.word)
-        return tuple(elements)
+    def swapped(gens):
+        length = original(gens)
+        if gens == tampered:
+            # s1 (length 1) and s1·s2 (length 2) trade lengths
+            s1, s1s2 = gens[0], verification._compose(gens[0], gens[1])
+            length[s1], length[s1s2] = length[s1s2], length[s1]
+        return length
 
-    monkeypatch.setattr(verification, "enumerate_group", swapped)
-    status = {(r.check, r.n): r.status for r in verification.run_verification(7)}
-    assert status[("back-or-forth", 7)] == "FAIL"
-    assert status[("back-or-forth", 5)] == status[("back-or-forth", 6)] == "PASS"
+    monkeypatch.setattr(verification, "signed_permutation_closure", swapped)
+    rows = {(r.check, r.n): r for r in verification.run_verification(7)}
+    assert rows[("back-or-forth", 7)].status == "FAIL"
+    assert rows[("back-or-forth", 7)].detail == "w=(1, 2, 3, 4), j=1"
+    assert rows[("back-or-forth", 5)].status == rows[("back-or-forth", 6)].status == "PASS"
+    assert rows[("oracle", 7)].status == rows[("group-order", 7)].status == "PASS"
 
 
 # --- the signed-permutation oracle against the ϖ-matrix reference ---
@@ -153,7 +153,30 @@ def test_closure_is_the_enumerated_group(datum):
     closure = signed_permutation_closure(generator_permutations(datum))
     assert len(closure) == len(elements)
     if datum.rank <= 5:
-        assert closure == {_as_signed_permutation(datum, e.matrix) for e in elements}
+        want = {_as_signed_permutation(datum, e.matrix): len(e.word) for e in elements}
+        assert set(closure) == set(want)
+        assert closure == want  # each BFS layer is the length of a shortest word
+
+
+def _negative_image_count(u, roots):
+    """#{β in ``roots`` : u(β) < 0}, building the whole ε-vector of u(β)."""
+    count = 0
+    for terms in roots:
+        image = [0] * len(u)
+        for i, c in terms:
+            image[abs(u[i]) - 1] += c if u[i] > 0 else -c
+        count += next(x for x in image if x) < 0
+    return count
+
+
+@pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
+def test_closure_length_is_the_inversion_count(datum):
+    roots = [
+        [(i, c) for i, c in enumerate(doubled_epsilon(datum, beta)) if c]
+        for beta in positive_root_vectors(datum)
+    ]
+    closure = signed_permutation_closure(generator_permutations(datum))
+    assert all(l == _negative_image_count(u, roots) for u, l in closure.items())
 
 
 @pytest.mark.parametrize("n", range(5, 11))
@@ -224,9 +247,9 @@ def test_verify_ten_enumerates_no_rank_six_group(monkeypatch, capsys):
         return original(datum)
 
     monkeypatch.setattr(weylgroup, "enumerate_group", counting)
-    monkeypatch.setattr(verification, "enumerate_group", counting)
+    assert not hasattr(verification, "enumerate_group")
     assert main(["verify", "--n-max", "10"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     status = {(r[0], r[1]): r[2] for r in rows if len(r) > 2 and r[1].startswith("n=")}
     assert status[("oracle", "n=10")] == status[("group-order", "n=10")] == "PASS"
-    assert ranks and 6 not in ranks  # back-or-forth still enumerates ranks 3..5
+    assert ranks == []  # back-or-forth reads the oracle's closure too
