@@ -9,28 +9,34 @@ weights, regularity propagation, and the degree-support tiling.
 
 The ``oracle``, ``group-order`` and ``back-or-forth`` rows work in
 ε-coordinates, where W(B_k) and W(D_k) are signed-permutation groups
-(Björner–Brenti, ch. 8).  Each s_j reflects every ε_i in α_j; the group is the
-breadth-first closure of those k signed permutations, with each element's BFS
-layer as its length, and ``group-order`` is its size.  A root is positive when
-its first nonzero ε-coordinate is.  ``oracle`` keeps each u with u(α_j) > 0
-for every uncrossed j and compares that set with w^{-1} of every walk word.
-``back-or-forth`` checks l(u∘s_j) = l(u) ∓ 1 as u(α_j) is negative or positive.
+(Björner–Brenti, ch. 8).  Each s_j reflects every ε_i in α_j, and u ↦ u∘s_j is
+a fixed gather with at most two sign flips.  The group is the breadth-first
+closure under those maps, with each element's BFS layer as its length, and
+``group-order`` is its size.  A root is positive when its first nonzero
+ε-coordinate is.  ``oracle`` keeps each u with u(α_j) > 0 for every uncrossed j
+and compares that set with w^{-1} of every walk word.  ``back-or-forth`` checks
+l(u∘s_j) = l(u) ∓ 1 as u(α_j) is negative or positive.  ``recombination``
+checks B·(R·W) = W in integers, for restrict's action R, the basis B and 100
+random symbolic weights W per parabolic.
 
 Factorial-size checks (full-group enumeration) run only while the rank is
 small; above the guard they are reported as skipped, never silently dropped.
-Randomized checks draw from a fixed seed so runs are reproducible.
+The record checks (``sign-rule``, ``mu-regular``, ``a2-by-length``) run at
+every n.  Randomized checks draw from a fixed seed so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter, mul
 
 from .eisenstein import degree_support, evaluation_coefficient, parabolic_report
 from .errors import OrthoweylError
 from .hasse import build_hasse, length_histogram, with_bruhat_covers
-from .linform import LinearForm
 from .orthogroup import (
     GroupSpec,
     MaximalParabolic,
@@ -71,6 +77,11 @@ class CheckResult:
     detail: str = ""
 
 
+def _verdict(check: str, n: int, failure: str) -> CheckResult:
+    """PASS when ``failure`` is empty, else FAIL with it as the detail."""
+    return CheckResult(check, n, "FAIL" if failure else "PASS", failure)
+
+
 def expected_coset_count(g: GroupSpec, p: MaximalParabolic) -> int:
     """Order of W^P: n+1 / n+2 for the first parabolic, (n+1)(n-1)/2 / (n+2)n/2."""
     n = g.n
@@ -80,34 +91,41 @@ def expected_coset_count(g: GroupSpec, p: MaximalParabolic) -> int:
 
 
 def expected_group_order(g: GroupSpec) -> int:
-    import math
-
-    k = g.k
-    return (2**k if g.is_odd else 2 ** (k - 1)) * math.factorial(k)
+    return (2**g.k if g.is_odd else 2 ** (g.k - 1)) * math.factorial(g.k)
 
 
 def _diagrams(g: GroupSpec):
     return {p: build_hasse(parabolic_choice(g, p)) for p in PARABOLICS}
 
 
-def _random_form(rng: random.Random, k: int) -> LinearForm:
-    coeffs = {
-        i: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for i in range(1, k + 1)
-    }
-    return LinearForm.make(k, Fraction(rng.randint(-6, 6), rng.randint(1, 4)), coeffs)
+def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """``rows`` times the lcm d of their denominators (2 for ½ℤ entries), and d."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * d) for x in row] for row in rows], d
 
 
-def _combine(forms: list[LinearForm], basis: list[Weight], k: int) -> Weight:
-    """Σ forms[j]·basis[j] for constant-coordinate basis weights."""
-    coords = []
-    for i in range(k):
-        acc = LinearForm.zero(forms[0].nvars)
-        for f, b in zip(forms, basis):
-            c = b.coords[i].constant
-            if c:
-                acc = acc + f.scale(c)
-        coords.append(acc)
-    return Weight(tuple(coords))
+def _times(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _recombination(g: GroupSpec, rng: random.Random) -> str:
+    """The first trial with B·(R·W) ≠ W, or "".  R (restrict at the symbolic weight,
+    constants last) and B are made integer (doubled); W's rows are random forms'
+    coefficients ``randint(-6, 6) / randint(1, 4)`` times 12, and (0, …, 0, 12)."""
+    k, randint = g.k, rng.randint
+    for p in PARABOLICS:
+        r = restrict(g, p, Weight.symbolic(k))
+        forms = (r.a_coefficient, *r.b_coords)
+        rmat, rs = _integer_rows([[*map(f.coefficient, range(1, k + 1)), f.constant] for f in forms])
+        head, tail = restriction_basis(g, p)
+        bmat, bs = _integer_rows(list(zip(*(b.constant_tuple() for b in (head, *tail)))))
+        for trial in range(100):
+            w = [[randint(-6, 6) * (12 // randint(1, 4)) for _ in range(k + 1)] for _ in range(k)]
+            back = _times(bmat, _times(rmat, [*w, [0] * k + [12]]))
+            if back != [[rs * bs * x for x in row] for row in w]:
+                return f"{p.name}: trial {trial}"
+    return ""
 
 
 # --- the oracle group as signed permutations of ε_1..ε_k ---------------------
@@ -141,23 +159,39 @@ def _compose(u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
     return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
 
 
-def signed_permutation_closure(
-    gens: tuple[SignedPermutation, ...],
-) -> dict[SignedPermutation, int]:
-    """The group generated by ``gens``, each element with its breadth-first layer.
+def right_multipliers(gens: tuple[SignedPermutation, ...]) -> list:
+    """For each s in ``gens``, u ↦ u∘s: gather u at |s(i)| - 1, then negate the
+    entries where s(i) < 0 (at most two for a simple reflection of B or D)."""
+    out = []
+    for s in gens:
+        gather = itemgetter(*[abs(x) - 1 for x in s])
+        flips = [i for i, x in enumerate(s) if x < 0]
 
-    That layer is the length when ``gens`` are the simple reflections.
-    """
+        def times(u, gather=gather, flips=flips):
+            v = list(gather(u))
+            for i in flips:
+                v[i] = -v[i]
+            return tuple(v)
+
+        out.append(times if flips else gather)
+    return out
+
+
+def signed_permutation_closure(gens: tuple[SignedPermutation, ...]) -> dict[SignedPermutation, int]:
+    """The group generated by ``gens``, each element with its breadth-first layer,
+    which is its length when ``gens`` are the simple reflections."""
     ident = tuple(range(1, len(gens[0]) + 1))
+    times = right_multipliers(gens)
     length = {ident: 0}
     frontier = [ident]
     while frontier:
         fresh = []
         for u in frontier:
-            for s in gens:
-                v = _compose(u, s)
+            l = length[u] + 1
+            for t in times:
+                v = t(u)
                 if v not in length:
-                    length[v] = length[u] + 1
+                    length[v] = l
                     fresh.append(v)
         frontier = fresh
     return length
@@ -178,22 +212,24 @@ def _root_terms(datum: RootDatum, j: int) -> list[tuple[int, int]]:
 
 
 def _sends_positive(u: SignedPermutation, terms: list[tuple[int, int]]) -> bool:
-    """Whether u maps the root with these ε-terms to a positive root.
-
-    A root is positive when its first nonzero ε-coordinate is.  The images of
-    the terms land on distinct coordinates, so that coordinate is the
-    smallest one hit.
-    """
-    _, c = min((abs(u[i]), c if u[i] > 0 else -c) for i, c in terms)
-    return c > 0
+    """Whether u maps the root with these one or two ε-terms to a positive root:
+    the sign of the image term with the smallest ε-index."""
+    if len(terms) == 1:
+        ((i, c),) = terms
+        return (u[i] > 0) == (c > 0)
+    (i, c), (m, d) = terms
+    x, y = u[i], u[m]
+    return (x > 0) == (c > 0) if abs(x) < abs(y) else (y > 0) == (d > 0)
 
 
 def minimal_inverses(
     datum: RootDatum, group: dict[SignedPermutation, int], crossed: frozenset[int]
 ) -> set[SignedPermutation]:
     """Every u in ``group`` with u(α_j) > 0 for each uncrossed j."""
-    terms = [_root_terms(datum, j) for j in range(1, datum.rank + 1) if j not in crossed]
-    return {u for u in group if all(_sends_positive(u, t) for t in terms)}
+    keep = group
+    for terms in (_root_terms(datum, j) for j in range(1, datum.rank + 1) if j not in crossed):
+        keep = filter(partial(_sends_positive, terms=terms), keep)
+    return set(keep)
 
 
 def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
@@ -207,32 +243,32 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
         rng = random.Random(rng_seed * 1000 + n)
 
         # 1. coset counts
-        ok, detail = True, ""
+        detail = ""
         for p in PARABOLICS:
             got, want = len(diagrams[p].nodes), expected_coset_count(g, p)
             if got != want:
-                ok, detail = False, f"{p.name}: {got} != {want}"
+                detail = f"{p.name}: {got} != {want}"
                 break
-        out(CheckResult("counts", n, "PASS" if ok else "FAIL", detail))
+        out(_verdict("counts", n, detail))
 
         # 2. histogram structure: palindromic, unique extremes, max = dim N_P
-        ok, detail = True, ""
+        detail = ""
         for p in PARABOLICS:
             hist = length_histogram(diagrams[p])
             top = max(hist)
             if top != nilradical_dim(g, p):
-                ok, detail = False, f"{p.name}: max length {top} != dim N"
+                detail = f"{p.name}: max length {top} != dim N"
                 break
             if any(hist[l] != hist[top - l] for l in hist):
-                ok, detail = False, f"{p.name}: N(l) not palindromic"
+                detail = f"{p.name}: N(l) not palindromic"
                 break
             if hist[0] != 1 or hist[top] != 1:
-                ok, detail = False, f"{p.name}: extremes not unique"
+                detail = f"{p.name}: extremes not unique"
                 break
             if sum(hist.values()) != len(diagrams[p].nodes):
-                ok, detail = False, f"{p.name}: histogram total mismatch"
+                detail = f"{p.name}: histogram total mismatch"
                 break
-        out(CheckResult("histogram", n, "PASS" if ok else "FAIL", detail))
+        out(_verdict("histogram", n, detail))
 
         # 3. reduced words: |Φ_w| from scratch equals the stored word length
         posroots = positive_root_vectors(g.datum)
@@ -240,15 +276,15 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
         if work > REDUCED_WORD_WORK_CAP:
             out(CheckResult("reduced-words", n, "SKIP", f"work estimate {work}"))
         else:
-            ok, detail = True, ""
+            detail = ""
             for p in PARABOLICS:
                 for node in diagrams[p].nodes:
                     if len(inversion_vectors(g.datum, node.word)) != node.length:
-                        ok, detail = False, f"{p.name}: word {node.word}"
+                        detail = f"{p.name}: word {node.word}"
                         break
-                if not ok:
+                if detail:
                     break
-            out(CheckResult("reduced-words", n, "PASS" if ok else "FAIL", detail))
+            out(_verdict("reduced-words", n, detail))
 
         # 4. oracle equivalence (factorial; guarded): the walk's w^{-1} against
         # every u in W with u(α_j) > 0 for the uncrossed j, as signed permutations
@@ -258,150 +294,111 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
         else:
             gens = generator_permutations(g.datum)
             group = signed_permutation_closure(gens)
-            ok, detail = True, ""
+            detail = ""
             for p in PARABOLICS:
                 algo = {word_inverse(gens, nd.word) for nd in diagrams[p].nodes}
                 oracle = minimal_inverses(g.datum, group, crossed_simple_roots(g, p))
                 if algo != oracle:
-                    ok = False
                     detail = (
                         f"{p.name}: walk {len(algo)} vs oracle {len(oracle)}; "
                         f"symmetric difference {len(algo ^ oracle)}"
                     )
                     break
-            out(CheckResult("oracle", n, "PASS" if ok else "FAIL", detail))
-            got = len(group)
-            want = expected_group_order(g)
-            out(
-                CheckResult(
-                    "group-order",
-                    n,
-                    "PASS" if got == want else "FAIL",
-                    "" if got == want else f"{got} != {want}",
-                )
-            )
+            out(_verdict("oracle", n, detail))
+            got, want = len(group), expected_group_order(g)
+            out(_verdict("group-order", n, "" if got == want else f"{got} != {want}"))
 
         # 5. back-or-forth over check 4's closure (harder guard), right-handed:
         # l(u∘s_j) = l(u) - 1 if u(α_j) < 0, else l(u) + 1.
         if k > BACK_OR_FORTH_MAX_RANK:
             out(CheckResult("back-or-forth", n, "SKIP", f"rank {k} > {BACK_OR_FORTH_MAX_RANK}"))
         else:
-            ok, detail = True, ""
+            detail = ""
             alphas = [_root_terms(g.datum, j) for j in range(1, k + 1)]
+            times = right_multipliers(gens)
             for u, l in group.items():
-                for j, (s, alpha) in enumerate(zip(gens, alphas), start=1):
-                    if group[_compose(u, s)] != (l + 1 if _sends_positive(u, alpha) else l - 1):
-                        ok, detail = False, f"w={u}, j={j}"
+                for j, (t, alpha) in enumerate(zip(times, alphas), start=1):
+                    if group[t(u)] != (l + 1 if _sends_positive(u, alpha) else l - 1):
+                        detail = f"w={u}, j={j}"
                         break
-                if not ok:
+                if detail:
                     break
-            out(CheckResult("back-or-forth", n, "PASS" if ok else "FAIL", detail))
+            out(_verdict("back-or-forth", n, detail))
 
         # 6. restriction recombination on random symbolic weights
-        ok, detail = True, ""
-        for p in PARABOLICS:
-            head, tail = restriction_basis(g, p)
-            basis = [head, *tail]
-            for trial in range(100):
-                w = Weight(tuple(_random_form(rng, k) for _ in range(k)))
-                r = restrict(g, p, w)
-                back = _combine([r.a_coefficient, *r.b_coords], basis, k)
-                if back != w:
-                    ok, detail = False, f"{p.name}: trial {trial}"
-                    break
-            if not ok:
-                break
-        out(CheckResult("recombination", n, "PASS" if ok else "FAIL", detail))
+        out(_verdict("recombination", n, _recombination(g, rng)))
 
         # 7. antipodal antisymmetry of the normalized evaluation coefficient
-        ok, detail = True, ""
+        detail = ""
         for p in PARABOLICS:
             nodes = diagrams[p].nodes
             w_max = max(nodes, key=lambda nd: nd.length)
             if evaluation_coefficient(g, p, w_max.word) != -evaluation_coefficient(g, p, ()):
-                ok, detail = False, p.name
+                detail = p.name
                 break
-        out(CheckResult("antipodal", n, "PASS" if ok else "FAIL", detail))
+        out(_verdict("antipodal", n, detail))
 
         # 8. sign rule at a random regular weight (strict lengths only)
-        if n > 12:
-            out(CheckResult("sign-rule", n, "SKIP", "spot-checked for n <= 12"))
-            out(CheckResult("mu-regular", n, "SKIP", "spot-checked for n <= 12"))
-            out(CheckResult("a2-by-length", n, "SKIP", "spot-checked for n <= 12"))
-        else:
-            assignment = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(k)]
-            lam = Weight.from_constants(assignment, k)
-            ok, detail = True, ""
-            ok2, detail2 = True, ""
-            for p in PARABOLICS:
-                dim = nilradical_dim(g, p)
-                for rec in parabolic_report(g, p, lam, diagrams[p]).records:
-                    a = rec.a_normalized.constant_value()
-                    if 2 * rec.length < dim and not a < 0:
-                        ok, detail = False, f"{p.name} l={rec.length}: a={a}"
-                    if 2 * rec.length > dim and not a > 0:
-                        ok, detail = False, f"{p.name} l={rec.length}: a={a}"
-                    if any(f.constant_value() <= 0 for f in rec.mu_restricted):
-                        ok2, detail2 = False, f"{p.name} word {rec.word}"
-            out(CheckResult("sign-rule", n, "PASS" if ok else "FAIL", detail))
-            out(CheckResult("mu-regular", n, "PASS" if ok2 else "FAIL", detail2))
+        assignment = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(k)]
+        lam = Weight.from_constants(assignment, k)
+        detail = detail2 = ""
+        for p in PARABOLICS:
+            dim = nilradical_dim(g, p)
+            for rec in parabolic_report(g, p, lam, diagrams[p]).records:
+                a = rec.a_normalized.constant_value()
+                if (2 * rec.length < dim and not a < 0) or (2 * rec.length > dim and not a > 0):
+                    detail = f"{p.name} l={rec.length}: a={a}"
+                if any(f.constant_value() <= 0 for f in rec.mu_restricted):
+                    detail2 = f"{p.name} word {rec.word}"
+        out(_verdict("sign-rule", n, detail))
+        out(_verdict("mu-regular", n, detail2))
 
-            # Second parabolic: at the all-ones weight (the extreme point of
-            # the regular dominant cone) the normalized coefficient takes a
-            # single value per length.
-            p2 = MaximalParabolic.P2
-            ones = Weight.from_constants([1] * k, k)
-            per_length: dict[int, set[Fraction]] = {}
-            for rec in parabolic_report(g, p2, ones, diagrams[p2]).records:
-                per_length.setdefault(rec.length, set()).add(rec.a_normalized.constant_value())
-            bad = {l for l, vals in per_length.items() if len(vals) > 1}
-            out(
-                CheckResult(
-                    "a2-by-length",
-                    n,
-                    "PASS" if not bad else "FAIL",
-                    "" if not bad else f"lengths {sorted(bad)}",
-                )
-            )
+        # Second parabolic: at the all-ones weight (the extreme point of the regular
+        # dominant cone) the normalized coefficient takes a single value per length.
+        p2 = MaximalParabolic.P2
+        ones = Weight.from_constants([1] * k, k)
+        per_length: dict[int, set[Fraction]] = {}
+        for rec in parabolic_report(g, p2, ones, diagrams[p2]).records:
+            per_length.setdefault(rec.length, set()).add(rec.a_normalized.constant_value())
+        bad = {l for l, vals in per_length.items() if len(vals) > 1}
+        out(_verdict("a2-by-length", n, f"lengths {sorted(bad)}" if bad else ""))
 
         # 9. degree support tiling and holomorphy consistency
-        ok, detail = True, ""
+        detail = ""
         for p in PARABOLICS:
             support = degree_support(g, p)
             degrees = sorted({e.degree for e in support.generation})
             if degrees != list(range(support.q_min, support.q_max + 1)):
-                ok, detail = False, f"{p.name}: tiling gap"
+                detail = f"{p.name}: tiling gap"
                 break
             hist = length_histogram(diagrams[p])
             if any(hist.get(e.length, 0) < 1 for e in support.generation):
-                ok, detail = False, f"{p.name}: generation length missing in W^P"
+                detail = f"{p.name}: generation length missing in W^P"
                 break
             if support.q_min != g.n:
-                ok, detail = False, f"{p.name}: q_min != n"
+                detail = f"{p.name}: q_min != n"
                 break
             dim = nilradical_dim(g, p)
             for d in cuspidal_degrees(g, p):
                 for node in diagrams[p].nodes:
                     if d + node.length >= g.n and 2 * node.length < dim:
-                        ok, detail = False, f"{p.name}: holomorphy gap at l={node.length}"
+                        detail = f"{p.name}: holomorphy gap at l={node.length}"
                         break
-        out(CheckResult("support", n, "PASS" if ok else "FAIL", detail))
+        out(_verdict("support", n, detail))
 
         # 10. covers contain the walk edges; strictly more for n = 6
         if n in (5, 6):
-            ok, detail = True, ""
+            detail = ""
             for p in PARABOLICS:
                 completed = with_bruhat_covers(diagrams[p])
                 walk = {(a, b) for a, b, _ in completed.algo_edges}
                 if not walk <= set(completed.cover_edges):
-                    ok, detail = False, f"{p.name}: walk edge missing from covers"
+                    detail = f"{p.name}: walk edge missing from covers"
                     break
-                if n == 6 and p is MaximalParabolic.P2 and not (
-                    set(completed.cover_edges) > walk
-                ):
-                    ok, detail = False, "P2: expected strictly more covers than walk edges"
+                if n == 6 and p is MaximalParabolic.P2 and not set(completed.cover_edges) > walk:
+                    detail = "P2: expected strictly more covers than walk edges"
                     break
-            out(CheckResult("covers", n, "PASS" if ok else "FAIL", detail))
+            out(_verdict("covers", n, detail))
 
     return results
 

@@ -10,7 +10,11 @@ produced before the walk and the cover completion were rewritten; and of
 as produced before the action matrices became folds of column updates; and
 of ``verify --n-max 10`` (text and json), the only run with the rank-6
 ``oracle`` and ``group-order`` rows, as produced before those rows moved to a
-signed-permutation closure.
+signed-permutation closure; and of ``verify --n-max 11`` and ``--n-max 12``
+(text and json), the only runs reaching n = 11 and 12, where
+``recombination`` runs on B6 and D7 and the ``sign-rule`` rows draw from the
+random stream after it, as produced before ``recombination`` moved to integer
+rows and the closure to a precomputed right action.
 """
 
 import hashlib

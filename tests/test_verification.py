@@ -1,10 +1,16 @@
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import orthoweyl.orthogroup as orthogroup
+import orthoweyl.verification as verification
 from conftest import diagram
 from orthoweyl.cli import main
 from orthoweyl.errors import OrthoweylError
+from orthoweyl.linform import LinearForm
 from orthoweyl.verification import (
     PARABOLICS,
     CheckResult,
@@ -13,6 +19,7 @@ from orthoweyl.verification import (
     format_results,
     generator_permutations,
     minimal_inverses,
+    right_multipliers,
     run_verification,
     signed_permutation_closure,
     word_inverse,
@@ -23,6 +30,7 @@ from orthoweyl.rootsystem import (
     _eps_to_weight_vector,
     custom_datum,
     doubled_epsilon,
+    Weight,
     make_datum,
     positive_root_vectors,
 )
@@ -253,3 +261,200 @@ def test_verify_ten_enumerates_no_rank_six_group(monkeypatch, capsys):
     status = {(r[0], r[1]): r[2] for r in rows if len(r) > 2 and r[1].startswith("n=")}
     assert status[("oracle", "n=10")] == status[("group-order", "n=10")] == "PASS"
     assert ranks == []  # back-or-forth reads the oracle's closure too
+
+
+# --- the closure's fast path against the generic composition ---
+
+MID_DATA = [make_datum(DynkinKind.B, k) for k in range(3, 9)] + [
+    make_datum(DynkinKind.D, k) for k in range(4, 9)
+]
+
+
+@st.composite
+def signed_permutations(draw, k):
+    perm = draw(st.permutations(range(1, k + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    return tuple(s * x for s, x in zip(signs, perm))
+
+
+def _min_rule(u, terms):
+    """The sign of the image term with the smallest ε-index, found by ``min``."""
+    _, c = min((abs(u[i]), c if u[i] > 0 else -c) for i, c in terms)
+    return c > 0
+
+
+def _epsilon_terms(datum):
+    """Every positive root as its nonzero doubled ε-coordinates."""
+    return [
+        [(i, c) for i, c in enumerate(doubled_epsilon(datum, beta)) if c]
+        for beta in positive_root_vectors(datum)
+    ]
+
+
+@pytest.mark.parametrize("datum", MID_DATA, ids=repr)
+@given(data=st.data())
+def test_right_multipliers_equal_compose(datum, data):
+    gens = generator_permutations(datum)
+    u = data.draw(signed_permutations(datum.rank))
+    for s, times in zip(gens, right_multipliers(gens)):
+        assert times(u) == verification._compose(u, s)
+
+
+@pytest.mark.parametrize("datum", MID_DATA, ids=repr)
+@given(data=st.data())
+def test_sends_positive_equals_min_rule(datum, data):
+    u = data.draw(signed_permutations(datum.rank))
+    roots = _epsilon_terms(datum)
+    assert {len(terms) for terms in roots} <= {1, 2}
+    for terms in roots + [[(i, -c) for i, c in terms] for terms in roots]:
+        assert verification._sends_positive(u, terms) == _min_rule(u, terms)
+
+
+def _compose_closure(gens):
+    """Breadth-first closure by the generic ``_compose``, each element with its layer."""
+    ident = tuple(range(1, len(gens[0]) + 1))
+    length = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for s in gens:
+                v = verification._compose(u, s)
+                if v not in length:
+                    length[v] = length[u] + 1
+                    fresh.append(v)
+        frontier = fresh
+    return length
+
+
+@pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
+def test_closure_equals_compose_closure(datum):
+    gens = generator_permutations(datum)
+    closure, want = signed_permutation_closure(gens), _compose_closure(gens)
+    assert closure == want
+    assert list(closure) == list(want)  # same BFS order, so the same first failure
+
+
+# --- recombination: integer rows against the LinearForm reference ---
+
+
+def _random_form(rng, k):
+    coeffs = {i: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for i in range(1, k + 1)}
+    return LinearForm.make(k, Fraction(rng.randint(-6, 6), rng.randint(1, 4)), coeffs)
+
+
+def _combine(forms, basis, k):
+    """Σ forms[j]·basis[j] for constant-coordinate basis weights."""
+    coords = []
+    for i in range(k):
+        acc = LinearForm.zero(forms[0].nvars)
+        for f, b in zip(forms, basis):
+            c = b.coords[i].constant
+            if c:
+                acc = acc + f.scale(c)
+        coords.append(acc)
+    return Weight(tuple(coords))
+
+
+def _reference_recombination(g, rng):
+    """The check on ``LinearForm`` weights: the first failing trial, or ""."""
+    for p in PARABOLICS:
+        head, tail = verification.restriction_basis(g, p)
+        for trial in range(100):
+            w = Weight(tuple(_random_form(rng, g.k) for _ in range(g.k)))
+            r = verification.restrict(g, p, w)
+            if _combine([r.a_coefficient, *r.b_coords], [head, *tail], g.k) != w:
+                return f"{p.name}: trial {trial}"
+    return ""
+
+
+@pytest.mark.parametrize("n", range(5, 14))
+def test_recombination_equals_linear_form_reference(n):
+    g = group_spec(n)
+    fast, slow = random.Random(n), random.Random(n)
+    assert verification._recombination(g, fast) == _reference_recombination(g, slow) == ""
+    assert fast.getstate() == slow.getstate()
+
+
+def _basis_with_minus_one(target):
+    original = verification.restriction_basis
+
+    def tampered(g, p):
+        head, tail = original(g, p)
+        if p is not target:
+            return head, tail
+        # the first -1/2 entry of the basis becomes -1
+        b, i = next(
+            (b, i)
+            for b, w in enumerate(tail)
+            for i, c in enumerate(w.constant_tuple())
+            if c == Fraction(-1, 2)
+        )
+        values = list(tail[b].constant_tuple())
+        values[i] = -1
+        return head, tail[:b] + (Weight.from_constants(values),) + tail[b + 1:]
+
+    return verification, "restriction_basis", tampered
+
+
+def _halves_missing_one(target):
+    original = orthogroup.half_positions
+
+    def tampered(g, p):
+        return original(g, p)[1:] if p is target else original(g, p)
+
+    return orthogroup, "half_positions", tampered
+
+
+def _restrict_plus_one(target):
+    original = verification.restrict
+
+    def tampered(g, p, w):
+        r = original(g, p, w)
+        if p is not target:
+            return r
+        one = LinearForm.const(1, r.a_coefficient.nvars)
+        return replace(r, a_coefficient=r.a_coefficient + one)
+
+    return verification, "restrict", tampered
+
+
+@pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "mutation", [_basis_with_minus_one, _halves_missing_one, _restrict_plus_one]
+)
+def test_recombination_mutation_fails_as_the_reference(monkeypatch, mutation, p):
+    monkeypatch.setattr(*mutation(p))
+    n = 7
+    row = next(r for r in run_verification(n) if r.check == "recombination")
+    want = _reference_recombination(group_spec(n), random.Random(7 * 1000 + n))
+    assert want.startswith(f"{p.name}: trial ")
+    assert row.status == "FAIL"
+    assert row.detail == want
+
+
+# --- the record checks run at every n ---
+
+
+def test_record_checks_pass_at_thirteen():
+    rows = {(r.check, r.n): r.status for r in run_verification(13)}
+    for check in ("sign-rule", "mu-regular", "a2-by-length"):
+        assert rows[(check, 13)] == "PASS"
+
+
+def test_sign_rule_failure_is_reported_at_thirteen(monkeypatch):
+    original = verification.parabolic_report
+
+    def flipped(g, p, lam, diagram):
+        report = original(g, p, lam, diagram)
+        if g.n != 13 or p is not MaximalParabolic.P1:
+            return report
+        first, *rest = report.records
+        first = replace(first, a_normalized=-first.a_normalized)
+        return replace(report, records=(first, *rest))
+
+    monkeypatch.setattr(verification, "parabolic_report", flipped)
+    rows = {(r.check, r.n): r for r in run_verification(13)}
+    assert rows[("sign-rule", 13)].status == "FAIL"
+    assert rows[("sign-rule", 13)].detail.startswith("P1 l=0: a=")
+    assert rows[("sign-rule", 12)].status == "PASS"
