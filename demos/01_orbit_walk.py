@@ -15,13 +15,12 @@ second node crossed) and prints the diagram in DOT.
 from orthoweyl import (
     DynkinKind,
     ParabolicChoice,
-    Weight,
+    apply_word,
     build_hasse,
     delta_weight,
     length_histogram,
     make_datum,
     render_word,
-    simple_reflection,
     to_dot,
     with_bruhat_covers,
 )
@@ -33,10 +32,10 @@ parabolic = ParabolicChoice(datum, frozenset({2}))
 delta = delta_weight(parabolic)
 print("seed weight:", delta)
 
-# One reflection step: c_i -> c_i - c_j * <alpha_j, alpha_i^v>.
-step = simple_reflection(datum, 2, delta)
-print("after s2:  ", step)
-print("after s2 s3:", simple_reflection(datum, 3, step))
+# One reflection step: c_i -> c_i - c_j * <alpha_j, alpha_i^v>.  A word acts
+# rightmost letter first, so s2 and then s3 is the word (3, 2).
+print("after s2:  ", apply_word(datum, (2,), delta))
+print("after s2 s3:", apply_word(datum, (3, 2), delta))
 
 # The full walk.  Node weights are pairwise distinct: they are exactly the
 # orbit of the seed, and they biject with the minimal coset representatives.

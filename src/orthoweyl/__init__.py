@@ -24,25 +24,17 @@ from .errors import (
 from .linform import LinearForm, Rational, parse_rational
 from .rootsystem import (
     DynkinKind,
-    EpsWeight,
     RootDatum,
     Weight,
     custom_datum,
-    from_epsilon,
-    fundamental_weight,
-    is_regular_dominant,
     make_datum,
-    positive_roots,
     rho,
-    simple_reflection,
-    to_epsilon,
 )
 from .weylgroup import (
     GroupElement,
     WeylWord,
     apply_word,
     enumerate_group,
-    inversion_set,
     minimal_reps_bruteforce,
     render_word,
     word_action_matrix,

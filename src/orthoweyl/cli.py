@@ -164,8 +164,6 @@ def cmd_hasse(args) -> int:
         payload = {"command": "hasse", "n": g.n, "parabolic": p.name}
         payload.update(to_json_dict(diagram))
         return _emit(_json_text(payload), args.out)
-    if args.format != "dot":
-        raise _CliError("hasse emits dot (default) or json")
     return _emit(to_dot(diagram, include_covers=args.covers), args.out)
 
 
@@ -192,7 +190,7 @@ def _record_rows(report: ParabolicReport) -> list[dict]:
 def _kostant_like(args, which: str) -> int:
     g = _group(args)
     p = _parse_parabolic(args.parabolic)
-    lam = _parse_lambda(args.lam, g.k) if args.lam else None
+    lam = None if args.lam is None else _parse_lambda(args.lam, g.k)
     try:
         report = parabolic_report(g, p, None if lam is None else regular_weight(g, lam))
     except OrthoweylError as exc:
@@ -314,15 +312,13 @@ def _report_text(report: Report) -> str:
 
 def cmd_report(args) -> int:
     g = _group(args)
-    lam = _parse_lambda(args.lam, g.k) if args.lam else None
+    lam = None if args.lam is None else _parse_lambda(args.lam, g.k)
     try:
         report = full_report(g, lam)
     except OrthoweylError as exc:
         raise _CliError(str(exc)) from None
     if args.format == "json":
         return _emit(_json_text(_report_payload(report)), args.out)
-    if args.format == "csv":
-        raise _CliError("report emits text (default) or json")
     return _emit(_report_text(report), args.out)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionError,
@@ -43,7 +43,6 @@ from .orthogroup import (
     levi_subgroups,
     nilradical_dim,
     parabolic_choice,
-    restrict,
     vanishing_bounds,
 )
 from .rootsystem import (
@@ -51,16 +50,11 @@ from .rootsystem import (
     RootDatum,
     Weight,
     doubled_epsilon,
-    positive_root_vectors,
-    rho,
-    simple_root_vector,
 )
 from .weylgroup import (
     Columns,
     WeylWord,
-    apply_word,
     identity_matrix,
-    mat_vec,
     times_generator,
     word_action_matrix,
     word_length,
@@ -89,45 +83,25 @@ def _symbolic_or_given(g: GroupSpec, lam: Weight | None) -> Weight:
     return lam
 
 
-def check_minimal_rep(g: GroupSpec, p: MaximalParabolic, word: WeylWord) -> None:
-    """Raise unless w^{-1} sends every uncrossed simple root to a positive root."""
-    datum = g.datum
-    inv_matrix = word_action_matrix(datum, tuple(reversed(word)))
-    posset = set(positive_root_vectors(datum))
-    for j in range(1, g.k + 1):
-        if j in crossed_simple_roots(g, p):
-            continue
-        if mat_vec(inv_matrix, simple_root_vector(datum, j)) not in posset:
-            raise NotCosetRepresentativeError(
-                f"word {word} is not minimal for the parabolic (fails at α_{j})"
-            )
-
-
 def kostant_restriction(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> tuple[LinearForm, ...]:
     """Restricted Levi highest weight ``(w(λ+ρ) - ρ)|_𝔟`` as k-1 linear forms."""
-    check_minimal_rep(g, p, word)
-    lam = _symbolic_or_given(g, lam)
-    mu = apply_word(g.datum, word, lam + rho(g.datum)) - rho(g.datum)
-    return restrict(g, p, mu).b_coords
+    return kostant_record(g, p, word, lam).mu_restricted
 
 
 def raw_evaluation_coefficient(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> LinearForm:
     """The 𝔞-side scalar of ``-w(λ+ρ)``, before normalization."""
-    check_minimal_rep(g, p, word)
-    lam = _symbolic_or_given(g, lam)
-    moved = apply_word(g.datum, word, lam + rho(g.datum))
-    return -restrict(g, p, moved).a_coefficient
+    return kostant_record(g, p, word, lam).a_raw
 
 
 def evaluation_coefficient(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> LinearForm:
     """Normalized coefficient a with evaluation point a·ρ|_𝔞."""
-    return raw_evaluation_coefficient(g, p, word, lam) / levi_rho_coefficient(g, p)
+    return kostant_record(g, p, word, lam).a_normalized
 
 
 def holomorphy_guaranteed(g: GroupSpec, p: MaximalParabolic, word: WeylWord) -> bool:
@@ -154,32 +128,9 @@ class KostantRecord:
 def kostant_record(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> KostantRecord:
-    """Record of one word, replayed from scratch; checks that it is in W^P."""
-    mu = kostant_restriction(g, p, word, lam)
-    a_raw = raw_evaluation_coefficient(g, p, word, lam)
-    return _record(g, p, word, word_length(g.datum, word), mu, a_raw)
-
-
-def _record(
-    g: GroupSpec,
-    p: MaximalParabolic,
-    word: WeylWord,
-    length: int,
-    mu: tuple[LinearForm, ...],
-    a_raw: LinearForm,
-) -> KostantRecord:
-    even_p1 = (not g.is_odd) and p is MaximalParabolic.P1
-    excluded = even_p1 and length == g.k - 1
-    return KostantRecord(
-        word=tuple(word),
-        length=length,
-        mu_restricted=mu,
-        a_raw=a_raw,
-        a_normalized=a_raw / levi_rho_coefficient(g, p),
-        holomorphy_guaranteed=2 * length >= nilradical_dim(g, p),
-        needs_weight_constraint=even_p1 and not excluded,
-        excluded_from_generation=excluded,
-    )
+    """Record of one word, its action matrix built from scratch; checks that it is in W^P."""
+    cols = tuple(zip(*word_action_matrix(g.datum, word)))
+    return _read_record(g, p, word, cols, _ShiftedWeight(_symbolic_or_given(g, lam)))
 
 
 @dataclass(frozen=True)
@@ -253,12 +204,13 @@ def _class_label(g: GroupSpec, p: MaximalParabolic) -> str:
     return f"π_{g.k - 1}(μ)"
 
 
-# --- records along the walk ---------------------------------------------------
+# --- records from integer action matrices --------------------------------------
 #
-# The action matrix of a node is its parent's times one generator,
-# A_{u·s_j} = A_u·S_j (weylgroup.times_generator), which changes column j
-# only.  Matrices are kept as column tuples, so a node costs one new column,
-# and every record is read off integer rows:
+# Every record is read off the ϖ-action matrix A of w and λ+ρ written as
+# integer rows over one denominator.  The walk carries A along its edges:
+# a node's matrix is its parent's times one generator, A_{u·s_j} = A_u·S_j
+# (weylgroup.times_generator), which changes column j only, so matrices are
+# kept as column tuples.  kostant_record builds A from scratch instead.
 #   w(λ+ρ)_i = Σ_j A[i][j]·(λ_j + 1),   wρ = row sums of A.
 
 
@@ -276,45 +228,121 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _form(
-    nvars: int, constant: int, coeffs: Sequence[int], fraction: Callable[[int], Fraction]
-) -> LinearForm:
-    """``constant + Σ_j coeffs[j-1]·λ_j`` with each integer read through ``fraction``."""
-    terms = tuple((j, fraction(c)) for j, c in enumerate(coeffs, 1) if c)
-    return LinearForm(nvars, fraction(constant), terms)
+class _ShiftedWeight:
+    """λ+ρ as integer rows over one denominator.
+
+    ``λ_i + 1 = (const[i] + Σ s·λ_c) / den``, where ``columns`` lists, for each
+    variable λ_c that occurs, its nonzero entries ``(i, s)`` (0-based i).
+    ``fraction`` is :class:`Fraction`, cached: few distinct integers occur.
+    """
+
+    def __init__(self, lam: Weight):
+        coords = lam.coords
+        self.nvars = coords[0].nvars
+        if any(f.nvars != self.nvars for f in coords):
+            raise DimensionError("the coordinates of λ have different numbers of variables")
+        self.den = den = math.lcm(
+            *(f.constant.denominator for f in coords),
+            *(c.denominator for f in coords for _, c in f.coeffs),
+        )
+        self.const = tuple(int((f.constant + 1) * den) for f in coords)
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for i, f in enumerate(coords):
+            for c, s in f.coeffs:
+                columns.setdefault(c, []).append((i, int(s * den)))
+        self.columns = tuple((c, tuple(terms)) for c, terms in sorted(columns.items()))
+        self.fraction = lru_cache(maxsize=None)(Fraction)
+
+
+def _combination(cols: Columns, terms: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """``Σ s·cols[i]`` over the ``(i, s)`` in ``terms``."""
+    (i, s), *rest = terms
+    acc = cols[i] if s == 1 else tuple(s * x for x in cols[i])
+    for i, s in rest:
+        acc = tuple(x + s * y for x, y in zip(acc, cols[i]))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _levi_split(
+    g: GroupSpec, p: MaximalParabolic
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """The crossed node, the 0-based 𝔟-rows, the 𝔞-weights and the integer 2·ρ|_𝔞.
+
+    The 𝔞-weights are -2 × the weight of each coordinate in the 𝔞-coefficient
+    (cf. restrict), so that with x = Σ_i a_weights[i]·w(λ+ρ)_i the record has
+    a_raw = -a = x/2 and a_normalized = a_raw/ρ|_𝔞 = x/(2·ρ|_𝔞).
+    """
+    (crossed,) = crossed_simple_roots(g, p)
+    halves = half_positions(g, p)
+    b_rows = tuple(i for i in range(g.k) if i != crossed - 1)
+    a_weights = tuple(-1 if i in halves else -2 for i in range(1, g.k + 1))
+    return crossed, b_rows, a_weights, int(2 * levi_rho_coefficient(g, p))
+
+
+def _read_record(
+    g: GroupSpec, p: MaximalParabolic, word: WeylWord, cols: Columns, lam: _ShiftedWeight
+) -> KostantRecord:
+    """The record of w from its action matrix A (as columns) and λ+ρ.
+
+    Raises unless w ∈ W^P, i.e. the ϖ_j-coordinate of wρ is > 0 for every
+    uncrossed j.  The constant column of A·(λ+ρ) is a dot product with each
+    row of A, each λ-column a combination of A's columns.
+    """
+    crossed, b_rows, a_weights, rho_a = _levi_split(g, p)
+    rows = tuple(zip(*cols))
+    w_rho = [sum(row) for row in rows]
+    for j, x in enumerate(w_rho, 1):
+        if j != crossed and x <= 0:
+            raise NotCosetRepresentativeError(
+                f"word {word} is not minimal for the parabolic (fails at α_{j})"
+            )
+    length = _length_of(g.datum, w_rho)
+    # den·w(λ+ρ) = moved_const + Σ_c moved_cols[c]·λ_c
+    nvars, den, fraction = lam.nvars, lam.den, lam.fraction
+    moved_const = [_dot(row, lam.const) for row in rows]
+    moved_cols = [(c, _combination(cols, terms)) for c, terms in lam.columns]
+    mu = tuple(
+        LinearForm(
+            nvars,
+            fraction(moved_const[r] - den, den),
+            tuple((c, fraction(x, den)) for c, col in moved_cols if (x := col[r])),
+        )
+        for r in b_rows
+    )
+    # 2·den·a_raw, as (constant, λ-terms)
+    a_const = _dot(a_weights, moved_const)
+    a_terms = [(c, x) for c, col in moved_cols if (x := _dot(a_weights, col))]
+
+    def a_form(d: int) -> LinearForm:
+        terms = tuple((c, fraction(x, d)) for c, x in a_terms)
+        return LinearForm(nvars, fraction(a_const, d), terms)
+
+    even_p1 = (not g.is_odd) and p is MaximalParabolic.P1
+    excluded = even_p1 and length == g.k - 1
+    return KostantRecord(
+        word=tuple(word),
+        length=length,
+        mu_restricted=mu,
+        a_raw=a_form(2 * den),
+        a_normalized=a_form(den * rho_a),
+        holomorphy_guaranteed=2 * length >= nilradical_dim(g, p),
+        needs_weight_constraint=even_p1 and not excluded,
+        excluded_from_generation=excluded,
+    )
 
 
 def _walk_records(
-    g: GroupSpec,
-    p: MaximalParabolic,
-    diagram: HasseDiagram,
-    values: tuple[Fraction, ...] | None,
-    nvars: int,
+    g: GroupSpec, p: MaximalParabolic, diagram: HasseDiagram, lam: _ShiftedWeight
 ) -> tuple[KostantRecord, ...]:
     """Records of every node from integer action matrices carried along the walk.
 
-    ``values`` is a numeric λ, or None for the symbolic one; the output forms
-    live in ``nvars`` variables.  A node's parent is the node whose word is its
-    word minus the last letter: the source of the walk edge that discovered
-    it.  Each node is checked to lie in W^P (the ϖ_j-coordinate of wρ is > 0
-    for every uncrossed j) and to have length ``node.length``.
+    A node's parent is the node whose word is its word minus the last letter:
+    the source of the walk edge that discovered it.  Besides the W^P check of
+    :func:`_read_record`, each node must have length ``node.length``.
     """
     datum = g.datum
-    k = g.k
-    (crossed,) = crossed_simple_roots(g, p)
-    b_rows = [i for i in range(k) if i != crossed - 1]
-    # -2 × the weight of each coordinate in the 𝔞-coefficient (cf. restrict),
-    # so that a_raw = -a = Σ_i a_weights[i]·w(λ+ρ)_i / 2.
-    halves = half_positions(g, p)
-    a_weights = [-1 if i in halves else -2 for i in range(1, k + 1)]
-    # Few distinct integers occur, so their Fractions are made once each.
-    unit = lru_cache(maxsize=None)(Fraction)
-    half = lru_cache(maxsize=None)(lambda c: Fraction(c, 2))
-    if values is not None:
-        # λ + ρ as integers over the common denominator den.
-        den = math.lcm(*(v.denominator for v in values))
-        shifted = [int((v + 1) * den) for v in values]
-    matrices: dict[WeylWord, Columns] = {(): identity_matrix(k)}
+    matrices: dict[WeylWord, Columns] = {(): identity_matrix(g.k)}
     records = []
     for node in diagram.nodes:
         word = node.word
@@ -326,27 +354,12 @@ def _walk_records(
                     f"word {word} has no parent {word[:-1]} earlier in the diagram"
                 )
             cols = matrices[word] = times_generator(datum, parent, word[-1])
-        rows = tuple(zip(*cols))
-        w_rho = [sum(row) for row in rows]
-        for j in range(1, k + 1):
-            if j != crossed and w_rho[j - 1] <= 0:
-                raise NotCosetRepresentativeError(
-                    f"word {word} is not minimal for the parabolic (fails at α_{j})"
-                )
-        length = _length_of(datum, w_rho)
-        if length != node.length:
+        record = _read_record(g, p, word, cols, lam)
+        if record.length != node.length:
             raise OrthoweylError(
-                f"word {word} has length {length}, but its node says {node.length}"
+                f"word {word} has length {record.length}, but its node says {node.length}"
             )
-        if values is None:
-            mu = tuple(_form(nvars, w_rho[i] - 1, rows[i], unit) for i in b_rows)
-            a_coeffs = [_dot(a_weights, col) for col in cols]
-            a_raw = _form(nvars, _dot(a_weights, w_rho), a_coeffs, half)
-        else:
-            moved = [_dot(row, shifted) for row in rows]
-            mu = tuple(LinearForm(nvars, Fraction(moved[i] - den, den), ()) for i in b_rows)
-            a_raw = LinearForm(nvars, Fraction(_dot(a_weights, moved), 2 * den), ())
-        records.append(_record(g, p, word, length, mu, a_raw))
+        records.append(record)
     return tuple(records)
 
 
@@ -358,19 +371,12 @@ def parabolic_report(
 ) -> ParabolicReport:
     """Counts, supports, Levi data and the records of every node of W^P.
 
-    ``lam`` is None (symbolic λ) or a weight of rank k.  Records of symbolic
-    and numeric λ come from the integer walk of :func:`_walk_records`; any
-    other weight is replayed word by word through :func:`kostant_record`.
+    ``lam`` is None (symbolic λ) or any weight of rank k; the records come
+    from the integer walk of :func:`_walk_records`.
     """
     if diagram is None:
         diagram = build_hasse(parabolic_choice(g, p))
-    if lam is None:
-        records = _walk_records(g, p, diagram, None, g.k)
-    elif _symbolic_or_given(g, lam).is_constant:
-        nvars = lam.coords[0].nvars
-        records = _walk_records(g, p, diagram, lam.constant_tuple(), nvars)
-    else:
-        records = tuple(kostant_record(g, p, node.word, lam) for node in diagram.nodes)
+    records = _walk_records(g, p, diagram, _ShiftedWeight(_symbolic_or_given(g, lam)))
     even_p1 = (not g.is_odd) and p is MaximalParabolic.P1
     return ParabolicReport(
         parabolic=p,

@@ -1,4 +1,4 @@
-"""Root data of types B_k and D_k, weights, and simple-reflection actions.
+"""Root data of types B_k and D_k, weights, and the integer simple reflection.
 
 Weights are always written in fundamental-weight (Bourbaki) coordinates:
 ``w = (c_1(w), ..., c_k(w))`` with ``c_i(w) = <w, α_i^∨>``.  The pairing
@@ -11,8 +11,8 @@ Both index orders occur in the literature; everything in this package assumes
 this one.
 
 ε-coordinates (the orthonormal functional basis in which the group acts by
-signed permutations) exist for types B and D only, and are used for the
-brute-force machinery and human-readable output, never as the internal basis.
+signed permutations) exist for types B and D only.  The one conversion is
+:func:`doubled_epsilon`, on integer vectors; ε is never the internal basis.
 """
 
 from __future__ import annotations
@@ -36,19 +36,12 @@ __all__ = [
     "DynkinKind",
     "RootDatum",
     "Weight",
-    "EpsWeight",
     "make_datum",
     "custom_datum",
     "cartan_matrix",
-    "simple_reflection",
     "rho",
-    "fundamental_weight",
-    "positive_roots",
     "positive_root_vectors",
     "positive_coroot_vectors",
-    "to_epsilon",
-    "from_epsilon",
-    "is_regular_dominant",
 ]
 
 
@@ -205,21 +198,8 @@ def _check_letter(datum: RootDatum, j: int) -> None:
         raise IndexRangeError(f"reflection index {j} outside 1..{datum.rank}")
 
 
-def simple_reflection(datum: RootDatum, j: int, w: Weight) -> Weight:
-    """Apply s_j: ``c_i -> c_i - c_j * <α_j, α_i^∨>``."""
-    _check_letter(datum, j)
-    if w.rank != datum.rank:
-        raise DimensionError(f"weight rank {w.rank} != datum rank {datum.rank}")
-    cj = w.coords[j - 1]
-    if cj == LinearForm.zero(cj.nvars):
-        return w
-    row = datum.cartan[j - 1]
-    new = [c - cj.scale(row[i]) if row[i] else c for i, c in enumerate(w.coords)]
-    return Weight(tuple(new))
-
-
 def reflect_vector(datum: RootDatum, j: int, vec: Sequence[int]) -> tuple[int, ...]:
-    """Same reflection on a plain integer coordinate vector (fast path)."""
+    """Apply s_j to an integer ϖ-coordinate vector: ``c_i -> c_i - c_j * <α_j, α_i^∨>``."""
     cj = vec[j - 1]
     if cj == 0:
         return tuple(vec)
@@ -230,13 +210,6 @@ def reflect_vector(datum: RootDatum, j: int, vec: Sequence[int]) -> tuple[int, .
 def rho(datum: RootDatum) -> Weight:
     """Half-sum of positive roots: (1, ..., 1) in these coordinates."""
     return Weight.from_constants([1] * datum.rank)
-
-
-def fundamental_weight(datum: RootDatum, i: int, nvars: int | None = None) -> Weight:
-    _check_letter(datum, i)
-    vec = [0] * datum.rank
-    vec[i - 1] = 1
-    return Weight.from_constants(vec, nvars)
 
 
 def simple_root_vector(datum: RootDatum, j: int) -> tuple[int, ...]:
@@ -251,68 +224,6 @@ def simple_root_vector(datum: RootDatum, j: int) -> tuple[int, ...]:
 def _require_bd(datum: RootDatum) -> None:
     if datum.kind is DynkinKind.CUSTOM:
         raise UnsupportedKindError("operation needs a B- or D-type datum")
-
-
-@dataclass(frozen=True)
-class EpsWeight:
-    """Vector of linear forms in the ε functional basis."""
-
-    coords: tuple[LinearForm, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def render(self) -> str:
-        return "(" + ",".join(c.render() for c in self.coords) + ")"
-
-
-def to_epsilon(datum: RootDatum, w: Weight) -> EpsWeight:
-    """Change of basis from fundamental-weight to ε-coordinates."""
-    _require_bd(datum)
-    k = datum.rank
-    if w.rank != k:
-        raise DimensionError(f"weight rank {w.rank} != datum rank {k}")
-    c = w.coords
-    half = Fraction(1, 2)
-    out: list[LinearForm] = []
-    if datum.kind is DynkinKind.B:
-        # ϖ_i = ε_1+...+ε_i (i<k), ϖ_k = (ε_1+...+ε_k)/2.
-        for j in range(1, k + 1):
-            acc = c[k - 1].scale(half)
-            for i in range(j, k):
-                acc = acc + c[i - 1]
-            out.append(acc)
-    else:
-        # ϖ_i = ε_1+...+ε_i (i<=k-2), ϖ_{k-1/k} = (ε_1+...+ε_{k-1} ∓ ε_k)/2.
-        for j in range(1, k - 1):
-            acc = (c[k - 2] + c[k - 1]).scale(half)
-            for i in range(j, k - 1):
-                acc = acc + c[i - 1]
-            out.append(acc)
-        out.append((c[k - 2] + c[k - 1]).scale(half))
-        out.append((c[k - 1] - c[k - 2]).scale(half))
-    return EpsWeight(tuple(out))
-
-
-def from_epsilon(datum: RootDatum, ew: EpsWeight) -> Weight:
-    """Inverse of :func:`to_epsilon`."""
-    _require_bd(datum)
-    k = datum.rank
-    if ew.rank != k:
-        raise DimensionError(f"eps-weight rank {ew.rank} != datum rank {k}")
-    b = ew.coords
-    out: list[LinearForm] = []
-    if datum.kind is DynkinKind.B:
-        for i in range(1, k):
-            out.append(b[i - 1] - b[i])
-        out.append(b[k - 1].scale(2))
-    else:
-        for i in range(1, k - 1):
-            out.append(b[i - 1] - b[i])
-        out.append(b[k - 2] - b[k - 1])
-        out.append(b[k - 2] + b[k - 1])
-    return Weight(tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +257,11 @@ def _eps_to_weight_vector(datum: RootDatum, b: Sequence[int]) -> tuple[int, ...]
 
 
 def doubled_epsilon(datum: RootDatum, vec: Sequence[int]) -> list[int]:
-    """Twice :func:`to_epsilon` of an integer ϖ-coordinate vector, in integers (B and D)."""
+    """2× the ε-coordinates of an integer ϖ-coordinate vector, in integers (B and D).
+
+    With ϖ_i = ε_1+...+ε_i below the spin nodes, ϖ_k = (ε_1+...+ε_k)/2 for B_k
+    and ϖ_{k-1}, ϖ_k = (ε_1+...+ε_{k-1} ∓ ε_k)/2 for D_k.
+    """
     k = datum.rank
     x = [0] * k
     if datum.kind is DynkinKind.B:
@@ -383,17 +298,3 @@ def positive_coroot_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
         assert all(x % norm == 0 for x in pairings)
         out.append(tuple(x // norm for x in pairings))
     return tuple(out)
-
-
-def positive_roots(datum: RootDatum) -> tuple[Weight, ...]:
-    """Positive roots as constant weights; k^2 for B_k, k(k-1) for D_k."""
-    return tuple(Weight.from_constants(v) for v in positive_root_vectors(datum))
-
-
-def is_regular_dominant(w: Weight) -> bool:
-    """True iff every coordinate is a constant > 0."""
-    if not w.is_constant:
-        raise NeedsAssignmentError(
-            "regularity test needs a numeric weight; evaluate the symbolic one first"
-        )
-    return all(c.constant > 0 for c in w.coords)

@@ -10,6 +10,8 @@ reading edge labels of an orbit diagram from left to right along a path.
 The one integer generator action is :func:`times_generator`, ``A -> A·S_j``,
 which changes column j only; ``word_action_matrix`` is a fold of these column
 updates from the identity (O(len(word)·k)), ``generator_matrix`` one update.
+``apply_word`` combines a weight's ``LinearForm`` coordinates with the integer
+rows of ``word_action_matrix``; no weight is reflected letter by letter.
 
 The inverse of a word is its reversal (each generator is an involution).
 """
@@ -23,13 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IndexRangeError, RankGuardError, UnsupportedKindError
+from .errors import DimensionError, IndexRangeError, RankGuardError, UnsupportedKindError
+from .linform import LinearForm
 from .rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
     positive_root_vectors,
-    simple_reflection,
     simple_root_vector,
 )
 
@@ -41,7 +43,6 @@ __all__ = [
     "apply_word",
     "word_action_matrix",
     "generator_matrix",
-    "inversion_set",
     "inversion_vectors",
     "word_length",
     "enumerate_group",
@@ -70,11 +71,18 @@ def _check_letters(datum: RootDatum, word: Sequence[int]) -> None:
 
 
 def apply_word(datum: RootDatum, word: Sequence[int], x: Weight) -> Weight:
-    """Apply the group element of ``word`` to a weight, rightmost letter first."""
-    _check_letters(datum, word)
-    for j in reversed(word):
-        x = simple_reflection(datum, j, x)
-    return x
+    """Apply the group element of ``word`` to a weight, rightmost letter first.
+
+    Coordinate i of the image is ``Σ_j M[i][j]·x_j`` for the integer matrix
+    M of :func:`word_action_matrix`.
+    """
+    matrix = word_action_matrix(datum, word)
+    if x.rank != datum.rank:
+        raise DimensionError(f"weight rank {x.rank} != datum rank {datum.rank}")
+    zero = LinearForm.zero(x.coords[0].nvars)
+    return Weight(
+        tuple(sum((c.scale(m) for c, m in zip(x.coords, row) if m), zero) for row in matrix)
+    )
 
 
 def identity_matrix(rank: int) -> Matrix:
@@ -140,11 +148,6 @@ def inversion_vectors(datum: RootDatum, word: Sequence[int]) -> frozenset[tuple[
         else:
             assert image in posset, "w^{-1} must permute the roots"
     return frozenset(out)
-
-
-def inversion_set(datum: RootDatum, word: Sequence[int]) -> frozenset[Weight]:
-    """Inversion set as constant weights (types B and D)."""
-    return frozenset(Weight.from_constants(v) for v in inversion_vectors(datum, word))
 
 
 def word_length(datum: RootDatum, word: Sequence[int]) -> int:

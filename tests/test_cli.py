@@ -247,6 +247,33 @@ def test_lambda_zero_denominator_is_bad_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kostant", "--n", "5", "--parabolic", "P1"),
+        ("lambdaw", "--n", "5", "--parabolic", "P2"),
+        ("report", "--n", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_lambda_is_bad_input(capsys, argv):
+    # an empty --lambda is a weight with no coordinates, not the symbolic λ
+    code, out, err = run_cli(capsys, *argv, "--lambda", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("hasse", "--n", "5", "--parabolic", "P1"), ("report", "--n", "5")]
+)
+def test_csv_refused_where_not_offered(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == "" and "invalid choice: 'csv'" in err
+
+
 def test_lambda_echoed_in_normal_form(capsys):
     for which in ("kostant", "lambdaw"):
         payload = run_json(

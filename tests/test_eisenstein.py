@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as Q
 
 import pytest
 
-from conftest import diagram
+from conftest import diagram, reference_record
 from orthoweyl.eisenstein import (
     degree_support,
     evaluation_coefficient,
@@ -183,18 +183,40 @@ def test_antipodal_antisymmetry_sample():
             assert evaluation_coefficient(g, p, top.word) == -evaluation_coefficient(g, p, ())
 
 
+def mixed_weight(k):
+    """Symbolic, constant and multi-variable coordinates over the denominator 30."""
+    coords = []
+    for i in range(1, k + 1):
+        if i % 4 == 1:
+            coords.append(sym(k, i))
+        elif i % 4 == 2:
+            coords.append(lf(k, Q(1, 2)))
+        elif i % 4 == 3:
+            coords.append(lf(k, Q(1, 5), {i - 1: Q(2, 3), i: -1}))
+        else:
+            coords.append(lf(k, 3, {1: Q(-7, 6)}))
+    return Weight(tuple(coords))
+
+
+def assert_same_record(rec, ref):
+    for field in fields(ref):
+        assert getattr(rec, field.name) == getattr(ref, field.name), (ref.word, field.name)
+
+
 @pytest.mark.parametrize("n", range(5, 14))
 def test_walk_records_equal_word_replay(n):
-    # the integer walk against the per-word reference path, field by field
+    # walk records and kostant_record against the LinearForm reference, field by field
     g = group_spec(n)
     numeric = Weight.from_constants([Q(2 * i + 1, 3 + i % 2) for i in range(g.k)], g.k)
     for p in (P1, P2):
         h = diagram(n, p)
-        for lam in (None, numeric):
+        for lam in (None, Weight.symbolic(g.k), numeric, mixed_weight(g.k)):
             records = parabolic_report(g, p, lam, h).records
             assert len(records) == len(h.nodes)
             for node, rec in zip(h.nodes, records):
-                assert rec == kostant_record(g, p, node.word, lam), (p, node.word)
+                ref = reference_record(g, p, node.word, lam)
+                assert_same_record(rec, ref)
+                assert_same_record(kostant_record(g, p, node.word, lam), ref)
 
 
 def test_walk_records_other_weights_match_replay():
@@ -203,10 +225,22 @@ def test_walk_records_other_weights_match_replay():
     for lam in (mixed, Weight.symbolic(4)):
         records = parabolic_report(g, P2, lam).records
         assert records == tuple(
-            kostant_record(g, P2, node.word, lam) for node in diagram(7, P2).nodes
+            reference_record(g, P2, node.word, lam) for node in diagram(7, P2).nodes
         )
     with pytest.raises(DimensionError):
         parabolic_report(g, P2, Weight.symbolic(3))
+    with pytest.raises(DimensionError):
+        parabolic_report(g, P2, Weight((sym(4, 1), lf(3, 1), lf(4, 2), lf(4, 3))))
+
+
+def test_reference_rejects_what_the_reader_rejects():
+    # the reference's own W^P test, on the words the reader refuses
+    g = group_spec(5)
+    for p, word in ((P1, (2,)), (P2, (1,)), (P1, (1, 2, 1))):
+        with pytest.raises(NotCosetRepresentativeError):
+            reference_record(g, p, word)
+        with pytest.raises(NotCosetRepresentativeError):
+            kostant_record(g, p, word)
 
 
 def test_walk_records_reject_non_minimal_node():

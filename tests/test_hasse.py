@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat_mul
+from conftest import mat_mul, to_epsilon
 from orthoweyl.errors import OrthoweylError
 from orthoweyl.hasse import (
     HasseDiagram,
@@ -23,15 +23,13 @@ from orthoweyl.rootsystem import (
     Weight,
     _eps_positive_roots,
     custom_datum,
-    fundamental_weight,
     make_datum,
     positive_root_vectors,
     reflect_vector,
     rho,
     simple_root_vector,
-    to_epsilon,
 )
-from orthoweyl.weylgroup import word_action_matrix
+from orthoweyl.weylgroup import identity_matrix, word_action_matrix
 
 B3 = make_datum(DynkinKind.B, 3)
 B4 = make_datum(DynkinKind.B, 4)
@@ -204,8 +202,6 @@ def test_cover_targets_left_multiply_by_reflections():
     # every cover pair (u, w) satisfies w·u^{-1} = a reflection: an involution
     # whose fixed space has codimension one
     h = with_bruhat_covers(build_hasse(P2_D4))
-    from orthoweyl.weylgroup import identity_matrix
-
     for a, b in h.cover_edges:
         m_a_inv = word_action_matrix(D4, tuple(reversed(h.nodes[a].word)))
         m_b = word_action_matrix(D4, h.nodes[b].word)
@@ -332,8 +328,8 @@ def _matrix_covers(h: HasseDiagram) -> tuple[tuple[int, int], ...]:
     datum = h.parabolic.datum
     k = datum.rank
     eps_fund = [
-        [c.constant for c in to_epsilon(datum, fundamental_weight(datum, j)).coords]
-        for j in range(1, k + 1)
+        [c.constant for c in to_epsilon(datum, Weight.from_constants(row)).coords]
+        for row in identity_matrix(k)
     ]
     reflections = []
     for beta_eps, beta_w in zip(_eps_positive_roots(datum), positive_root_vectors(datum)):

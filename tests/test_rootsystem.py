@@ -3,28 +3,18 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from orthoweyl.errors import (
-    NeedsAssignmentError,
-    UnsupportedKindError,
-    UnsupportedRankError,
-)
-from orthoweyl.linform import LinearForm
+from conftest import from_epsilon, simple_reflection, to_epsilon
+from orthoweyl.errors import UnsupportedKindError, UnsupportedRankError
 from orthoweyl.rootsystem import (
     DynkinKind,
     Weight,
     _eps_positive_roots,
     custom_datum,
     doubled_epsilon,
-    from_epsilon,
-    fundamental_weight,
-    is_regular_dominant,
     make_datum,
     positive_coroot_vectors,
     positive_root_vectors,
-    positive_roots,
     rho,
-    simple_reflection,
-    to_epsilon,
 )
 
 B3 = make_datum(DynkinKind.B, 3)
@@ -33,6 +23,11 @@ D4 = make_datum(DynkinKind.D, 4)
 
 def const(vec):
     return Weight.from_constants(vec)
+
+
+def fundamental(datum, i):
+    """ϖ_i as a constant weight."""
+    return const([int(r == i) for r in range(1, datum.rank + 1)])
 
 
 def test_cartan_b3():
@@ -79,8 +74,8 @@ def test_rho():
 
 
 def test_positive_root_counts():
-    assert len(positive_roots(B3)) == 9
-    assert len(positive_roots(D4)) == 12
+    assert len(positive_root_vectors(B3)) == 9
+    assert len(positive_root_vectors(D4)) == 12
     assert len(positive_root_vectors(make_datum(DynkinKind.B, 5))) == 25
 
 
@@ -106,9 +101,9 @@ def test_reflection_permutes_positive_roots(datum):
 
 
 def test_epsilon_examples():
-    w1 = to_epsilon(B3, fundamental_weight(B3, 1))
+    w1 = to_epsilon(B3, fundamental(B3, 1))
     assert [c.constant for c in w1.coords] == [1, 0, 0]
-    w3 = to_epsilon(B3, fundamental_weight(B3, 3))
+    w3 = to_epsilon(B3, fundamental(B3, 3))
     assert [c.constant for c in w3.coords] == [Q(1, 2), Q(1, 2), Q(1, 2)]
 
 
@@ -130,16 +125,7 @@ def test_epsilon_needs_bd():
     with pytest.raises(UnsupportedKindError):
         to_epsilon(datum, Weight.from_constants([1, 0]))
     with pytest.raises(UnsupportedKindError):
-        positive_roots(datum)
-
-
-def test_is_regular_dominant():
-    assert is_regular_dominant(rho(B3))
-    assert not is_regular_dominant(const([1, 0, 1]))
-    assert is_regular_dominant(const([2, 1, 3]))
-    with pytest.raises(NeedsAssignmentError):
-        is_regular_dominant(Weight.symbolic(3))
-    assert is_regular_dominant(Weight.symbolic(3).evaluate([1, Q(1, 2), 3]))
+        positive_root_vectors(datum)
 
 
 def test_weight_render():
@@ -163,7 +149,7 @@ def test_half_sum_of_positive_roots_is_rho():
 def test_coroots_pair_as_two_beta_over_norm(datum):
     # <ϖ_i, β^∨> = 2(ϖ_i, β)/(β, β), computed here with exact ε-coordinates
     k = datum.rank
-    fund = [to_epsilon(datum, fundamental_weight(datum, i)).coords for i in range(1, k + 1)]
+    fund = [to_epsilon(datum, fundamental(datum, i)).coords for i in range(1, k + 1)]
     roots = positive_root_vectors(datum)
     coroots = positive_coroot_vectors(datum)
     assert len(coroots) == len(roots)

@@ -1,10 +1,12 @@
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mat_mul
-from orthoweyl.errors import IndexRangeError, RankGuardError
+from conftest import mat_mul, reflect_word, simple_reflection
+from orthoweyl.errors import DimensionError, IndexRangeError, RankGuardError
+from orthoweyl.linform import LinearForm
 from orthoweyl.hasse import build_hasse
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import DynkinKind, Weight, make_datum
@@ -13,7 +15,6 @@ from orthoweyl.weylgroup import (
     enumerate_group,
     generator_matrix,
     identity_matrix,
-    inversion_set,
     inversion_vectors,
     minimal_reps_bruteforce,
     render_word,
@@ -38,8 +39,6 @@ def test_apply_word_identity_and_orbit_step():
 
 def test_apply_word_composition_contract():
     # the rightmost letter acts first
-    from orthoweyl.rootsystem import simple_reflection
-
     delta = const([0, 1, 0])
     assert apply_word(B3, (2, 1), delta) == simple_reflection(
         B3, 2, simple_reflection(B3, 1, delta)
@@ -49,6 +48,33 @@ def test_apply_word_composition_contract():
 def test_apply_word_bad_letter():
     with pytest.raises(IndexRangeError):
         apply_word(B3, (4,), const([0, 0, 0]))
+    with pytest.raises(DimensionError):
+        apply_word(B3, (1,), const([0, 0, 0, 0]))
+
+
+FOLD_DATA = [
+    make_datum(DynkinKind.B, 3),
+    make_datum(DynkinKind.B, 4),
+    make_datum(DynkinKind.D, 4),
+    make_datum(DynkinKind.D, 5),
+]
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def forms(draw, nvars):
+    coeffs = draw(st.dictionaries(st.integers(1, nvars), rationals, max_size=nvars))
+    return LinearForm.make(nvars, draw(rationals), coeffs)
+
+
+@given(st.sampled_from(FOLD_DATA), st.data())
+def test_apply_word_equals_reflection_fold(datum, data):
+    # the matrix action against the letter-by-letter LinearForm reference
+    k = datum.rank
+    word = tuple(data.draw(st.lists(st.integers(1, k), max_size=3 * k)))
+    nvars = data.draw(st.integers(1, 3))
+    x = Weight(tuple(data.draw(forms(nvars)) for _ in range(k)))
+    assert apply_word(datum, word, x) == reflect_word(datum, word, x)
 
 
 def test_word_action_matrix_examples():
@@ -61,7 +87,6 @@ def test_word_action_matrix_examples():
 
 def test_matrix_matches_reflection_on_basis():
     from orthoweyl.weylgroup import mat_vec
-    from orthoweyl.rootsystem import simple_reflection
 
     for datum in (B3, D4):
         for j in range(1, datum.rank + 1):
@@ -74,7 +99,7 @@ def test_matrix_matches_reflection_on_basis():
 
 
 def test_inversion_set_examples():
-    assert inversion_set(B3, ()) == frozenset()
+    assert inversion_vectors(B3, ()) == frozenset()
     for j in (1, 2, 3):
         assert inversion_vectors(B3, (j,)) == frozenset({B3.cartan[j - 1]})
     # the element s1·s2 inverts α1 and α1+α2
