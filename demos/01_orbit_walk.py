@@ -55,4 +55,4 @@ for a, b in sorted(extra):
     print(f"  {render_word(diagram.nodes[a].word)} -> {render_word(diagram.nodes[b].word)}")
 
 print("\nDOT output:\n")
-print(to_dot(completed, include_covers=True))
+print(to_dot(completed))

@@ -26,7 +26,6 @@ from .rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
-    custom_datum,
     make_datum,
     rho,
 )

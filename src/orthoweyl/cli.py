@@ -71,6 +71,9 @@ def _group(args) -> GroupSpec:
 
 def _emit(text: str, out: str | None) -> int:
     if out is None:
+        if sys.stdout is None:  # fd 1 was already closed when the interpreter started
+            print("error: cannot write to stdout: stdout is closed", file=sys.stderr)
+            return EXIT_IO
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -164,7 +167,7 @@ def cmd_hasse(args) -> int:
         payload = {"command": "hasse", "n": g.n, "parabolic": p.name}
         payload.update(to_json_dict(diagram))
         return _emit(_json_text(payload), args.out)
-    return _emit(to_dot(diagram, include_covers=args.covers), args.out)
+    return _emit(to_dot(diagram), args.out)
 
 
 # --- kostant / lambdaw -------------------------------------------------------

@@ -33,7 +33,7 @@ class UnsupportedRankError(OrthoweylError):
 
 
 class UnsupportedKindError(OrthoweylError):
-    """The operation needs a B- or D-type datum, not a custom one."""
+    """The Dynkin kind is neither B nor D."""
 
 
 class RankGuardError(OrthoweylError):

@@ -34,7 +34,6 @@ from operator import mul
 
 from .errors import IndexRangeError, OrthoweylError
 from .rootsystem import (
-    DynkinKind,
     RootDatum,
     Weight,
     positive_coroot_vectors,
@@ -99,7 +98,7 @@ def delta_weight(p: ParabolicChoice) -> Weight:
     return Weight.from_constants(vec)
 
 
-def build_hasse(p: ParabolicChoice, max_nodes: int | None = None) -> HasseDiagram:
+def build_hasse(p: ParabolicChoice) -> HasseDiagram:
     """Breadth-first walk over the W-orbit of δ_P; see the module docstring."""
     datum = p.datum
     k = datum.rank
@@ -126,8 +125,6 @@ def build_hasse(p: ParabolicChoice, max_nodes: int | None = None) -> HasseDiagra
                     words.append(words[node_id] + (j,))
                     weights.append(y)
                     next_frontier.append(child)
-                    if max_nodes is not None and child + 1 > max_nodes:
-                        raise OrthoweylError(f"orbit exceeded max_nodes={max_nodes}")
                 edges.append((node_id, child, j))
         frontier = next_frontier
 
@@ -159,8 +156,6 @@ def with_bruhat_covers(h: HasseDiagram) -> HasseDiagram:
     orbit, and raises :class:`OrthoweylError`.
     """
     datum = h.parabolic.datum
-    if datum.kind is DynkinKind.CUSTOM:
-        raise OrthoweylError("cover completion needs positive roots (types B/D)")
     roots = tuple(zip(positive_root_vectors(datum), positive_coroot_vectors(datum)))
     index = {node.weight: node for node in h.nodes}
     # Found from scratch, not seeded with the walk edges: that the walk edges
@@ -186,23 +181,21 @@ def _weight_label(weight: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in weight) + ")"
 
 
-def to_dot(h: HasseDiagram, include_covers: bool = False) -> str:
+def to_dot(h: HasseDiagram) -> str:
     """Deterministic DOT rendering of the diagram.
 
     Nodes are ``n{id}`` labelled with the orbit-weight tuple; walk edges carry
-    ``label="s{α}"``; with ``include_covers`` the cover-only edges (computed if
-    necessary) are added dashed.
+    ``label="s{α}"``; when the diagram has its covers (see
+    :func:`with_bruhat_covers`) the cover-only edges are added dashed.
     """
-    if include_covers and h.cover_edges is None:
-        h = with_bruhat_covers(h)
     lines = ["digraph WP {"]
     for node in h.nodes:
         lines.append(f'  n{node.id} [label="{_weight_label(node.weight)}"];')
     for a, b, j in sorted(h.algo_edges):
         lines.append(f'  n{a} -> n{b} [label="s{j}"];')
-    if include_covers:
+    if h.cover_edges is not None:
         walk_pairs = {(a, b) for a, b, _ in h.algo_edges}
-        for a, b in h.cover_edges or ():
+        for a, b in h.cover_edges:
             if (a, b) not in walk_pairs:
                 lines.append(f'  n{a} -> n{b} [style="dashed"];')
     lines.append("}")

@@ -7,22 +7,25 @@ oracle, palindromic length counts, restriction recombination, antipodal
 antisymmetry of the evaluation coefficients, sign rules at random regular
 weights, regularity propagation, and the degree-support tiling.
 
-The ``oracle``, ``group-order`` and ``back-or-forth`` rows work in
-ε-coordinates, where W(B_k) and W(D_k) are signed-permutation groups
+The ``reduced-words``, ``oracle``, ``group-order`` and ``back-or-forth`` rows
+work in ε-coordinates, where W(B_k) and W(D_k) are signed-permutation groups
 (Björner–Brenti, ch. 8).  Each s_j reflects every ε_i in α_j, and u ↦ u∘s_j is
-a fixed gather with at most two sign flips.  The group is the breadth-first
-closure under those maps, with each element's BFS layer as its length, and
-``group-order`` is its size.  A root is positive when its first nonzero
-ε-coordinate is.  ``oracle`` keeps each u with u(α_j) > 0 for every uncrossed j
-and compares that set with w^{-1} of every walk word.  ``back-or-forth`` checks
-l(u∘s_j) = l(u) ∓ 1 as u(α_j) is negative or positive.  ``recombination``
-checks B·(R·W) = W in integers, for restrict's action R, the basis B and 100
-random symbolic weights W per parabolic.
+a fixed gather with at most two sign flips.  A root is positive when its first
+nonzero ε-coordinate is.  ``reduced-words`` counts, for every walk word of w,
+the positive roots that w^{-1} sends negative; that count is l(w), and it must
+equal the word's length and the stored length.  The group is the breadth-first
+closure under the u ↦ u∘s_j maps, with each element's BFS layer as its length,
+and ``group-order`` is its size.  ``oracle`` keeps each u with u(α_j) > 0 for
+every uncrossed j and compares that set with w^{-1} of every walk word.
+``back-or-forth`` checks l(u∘s_j) = l(u) ∓ 1 as u(α_j) is negative or
+positive.  ``recombination`` checks B·(R·W) = W in integers, for restrict's
+action R, the basis B and 100 random symbolic weights W per parabolic.
 
 Factorial-size checks (full-group enumeration) run only while the rank is
 small; above the guard they are reported as skipped, never silently dropped.
-The record checks (``sign-rule``, ``mu-regular``, ``a2-by-length``) run at
-every n.  Randomized checks draw from a fixed seed so runs are reproducible.
+``reduced-words`` and the record checks (``sign-rule``, ``mu-regular``,
+``a2-by-length``) run at every n.  Randomized checks draw from a fixed seed so
+runs are reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from functools import partial
 from operator import itemgetter, mul
 
 from .eisenstein import degree_support, evaluation_coefficient, parabolic_report
-from .errors import OrthoweylError
 from .hasse import build_hasse, length_histogram, with_bruhat_covers
 from .orthogroup import (
     GroupSpec,
@@ -55,7 +57,7 @@ from .rootsystem import (
     positive_root_vectors,
     simple_root_vector,
 )
-from .weylgroup import WeylWord, inversion_vectors
+from .weylgroup import WeylWord
 
 __all__ = ["CheckResult", "run_verification", "format_results"]
 
@@ -63,8 +65,6 @@ __all__ = ["CheckResult", "run_verification", "format_results"]
 #: reads the group that the oracle check builds, so its bound is the lower.
 ORACLE_MAX_RANK = 6
 BACK_OR_FORTH_MAX_RANK = 5
-#: From-scratch inversion sets are recomputed only below this work estimate.
-REDUCED_WORD_WORK_CAP = 300_000
 
 PARABOLICS = (MaximalParabolic.P1, MaximalParabolic.P2)
 
@@ -143,13 +143,10 @@ def generator_permutations(datum: RootDatum) -> tuple[SignedPermutation, ...]:
         norm = sum(x * x for x in a)
         perm = []
         for i in range(k):
-            # s_j(ε_i) = ε_i - (2(ε_i, a)/(a, a))·a, times (a, a)
+            # s_j(ε_i) = ε_i - (2(ε_i, a)/(a, a))·a, times (a, a): one entry ±(a, a)
             image = [norm * (m == i) - 2 * a[i] * x for m, x in enumerate(a)]
-            moved = [(m, x) for m, x in enumerate(image) if x]
-            if len(moved) != 1 or abs(moved[0][1]) != norm:
-                raise OrthoweylError(f"s{j} is not a signed permutation of the ε-basis")
-            m, x = moved[0]
-            perm.append(m + 1 if x > 0 else -(m + 1))
+            m = next(m for m, x in enumerate(image) if x)
+            perm.append(m + 1 if image[m] > 0 else -(m + 1))
         gens.append(tuple(perm))
     return tuple(gens)
 
@@ -205,10 +202,9 @@ def word_inverse(gens: tuple[SignedPermutation, ...], word: WeylWord) -> SignedP
     return u
 
 
-def _root_terms(datum: RootDatum, j: int) -> list[tuple[int, int]]:
-    """The nonzero ε-coordinates of 2α_j, as (index, value) pairs."""
-    a = doubled_epsilon(datum, simple_root_vector(datum, j))
-    return [(i, c) for i, c in enumerate(a) if c]
+def _root_terms(datum: RootDatum, root: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The nonzero ε-coordinates of twice a ϖ-coordinate root, as (index, value) pairs."""
+    return [(i, c) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
 
 
 def _sends_positive(u: SignedPermutation, terms: list[tuple[int, int]]) -> bool:
@@ -227,9 +223,29 @@ def minimal_inverses(
 ) -> set[SignedPermutation]:
     """Every u in ``group`` with u(α_j) > 0 for each uncrossed j."""
     keep = group
-    for terms in (_root_terms(datum, j) for j in range(1, datum.rank + 1) if j not in crossed):
+    uncrossed = (j for j in range(1, datum.rank + 1) if j not in crossed)
+    for terms in (_root_terms(datum, simple_root_vector(datum, j)) for j in uncrossed):
         keep = filter(partial(_sends_positive, terms=terms), keep)
     return set(keep)
+
+
+def _inversion_count(u: SignedPermutation, roots: list[list[tuple[int, int]]]) -> int:
+    """#{β in ``roots`` : u(β) < 0}; over all positive roots with u = w^{-1} this is
+    the inversion set {β > 0 : w^{-1}(β) < 0}'s size, the length of w."""
+    return sum(not _sends_positive(u, terms) for terms in roots)
+
+
+def _reduced_words(g: GroupSpec, diagrams: dict) -> str:
+    """The first walk node whose word length, stored length and length of w differ,
+    or "".  The length of w is counted on the signed permutation w^{-1}."""
+    gens = generator_permutations(g.datum)
+    roots = [_root_terms(g.datum, beta) for beta in positive_root_vectors(g.datum)]
+    for p in PARABOLICS:
+        for node in diagrams[p].nodes:
+            length = _inversion_count(word_inverse(gens, node.word), roots)
+            if not length == len(node.word) == node.length:
+                return f"{p.name}: word {node.word}"
+    return ""
 
 
 def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
@@ -270,21 +286,8 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
                 break
         out(_verdict("histogram", n, detail))
 
-        # 3. reduced words: |Φ_w| from scratch equals the stored word length
-        posroots = positive_root_vectors(g.datum)
-        work = sum(len(d.nodes) for d in diagrams.values()) * len(posroots)
-        if work > REDUCED_WORD_WORK_CAP:
-            out(CheckResult("reduced-words", n, "SKIP", f"work estimate {work}"))
-        else:
-            detail = ""
-            for p in PARABOLICS:
-                for node in diagrams[p].nodes:
-                    if len(inversion_vectors(g.datum, node.word)) != node.length:
-                        detail = f"{p.name}: word {node.word}"
-                        break
-                if detail:
-                    break
-            out(_verdict("reduced-words", n, detail))
+        # 3. reduced words: each word's length is the inversion count of its element
+        out(_verdict("reduced-words", n, _reduced_words(g, diagrams)))
 
         # 4. oracle equivalence (factorial; guarded): the walk's w^{-1} against
         # every u in W with u(α_j) > 0 for the uncrossed j, as signed permutations
@@ -314,7 +317,7 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
             out(CheckResult("back-or-forth", n, "SKIP", f"rank {k} > {BACK_OR_FORTH_MAX_RANK}"))
         else:
             detail = ""
-            alphas = [_root_terms(g.datum, j) for j in range(1, k + 1)]
+            alphas = [_root_terms(g.datum, simple_root_vector(g.datum, j)) for j in range(1, k + 1)]
             times = right_multipliers(gens)
             for u, l in group.items():
                 for j, (t, alpha) in enumerate(zip(times, alphas), start=1):

@@ -25,10 +25,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, IndexRangeError, RankGuardError, UnsupportedKindError
+from .errors import DimensionError, IndexRangeError, RankGuardError
 from .linform import LinearForm
 from .rootsystem import (
-    DynkinKind,
     RootDatum,
     Weight,
     positive_root_vectors,
@@ -55,7 +54,8 @@ Matrix = tuple[tuple[int, ...], ...]
 #: Full-group enumeration is refused above this rank (factorial growth).
 ORACLE_RANK_LIMIT = 7
 
-#: Hard cap on closure size, so a custom datum of non-finite type fails fast.
+#: Hard cap on closure size, so a hand-built datum whose pairing matrix is not
+#: of finite type fails fast.
 _CLOSURE_CAP = 2_000_000
 
 
@@ -215,8 +215,6 @@ def minimal_reps_bruteforce(
     positive root.  Words come from the Cayley-graph BFS (reversed, since the
     enumeration walks inverses); output sorted by (length, word).
     """
-    if datum.kind is DynkinKind.CUSTOM:
-        raise UnsupportedKindError("brute-force minimal reps need positive roots (B/D)")
     crossed_set = frozenset(crossed)
     for j in crossed_set:
         if not 1 <= j <= datum.rank:

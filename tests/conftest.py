@@ -11,7 +11,6 @@ from orthoweyl.errors import (
     DimensionError,
     IndexRangeError,
     NotCosetRepresentativeError,
-    UnsupportedKindError,
 )
 from orthoweyl.hasse import HasseDiagram, build_hasse
 from orthoweyl.linform import LinearForm
@@ -124,8 +123,6 @@ class EpsWeight:
 
 def to_epsilon(datum: RootDatum, w: Weight) -> EpsWeight:
     """Change of basis from fundamental-weight to ε-coordinates (B and D)."""
-    if datum.kind is DynkinKind.CUSTOM:
-        raise UnsupportedKindError("ε-coordinates need a B- or D-type datum")
     k = datum.rank
     if w.rank != k:
         raise DimensionError(f"weight rank {w.rank} != datum rank {k}")

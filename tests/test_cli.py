@@ -305,3 +305,20 @@ def test_failed_stdout_write_exits_io_error(buffered):
     assert result.stderr.startswith("error: cannot write to stdout")
     assert "Traceback" not in result.stderr
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cosets", "--n", "5", "--parabolic", "P1"], ["verify", "--n-max", "5"]],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_io_error(argv):
+    # fd 1 closed before the interpreter starts, as by `>&-`: sys.stdout is None
+    result = subprocess.run(
+        [sys.executable, "-m", "orthoweyl", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert result.returncode == 3
+    assert result.stderr == "error: cannot write to stdout: stdout is closed\n"

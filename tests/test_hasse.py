@@ -22,7 +22,6 @@ from orthoweyl.rootsystem import (
     DynkinKind,
     Weight,
     _eps_positive_roots,
-    custom_datum,
     make_datum,
     positive_root_vectors,
     reflect_vector,
@@ -238,20 +237,6 @@ def test_every_path_spells_a_reduced_word():
             assert word_length(datum, candidate) == h.nodes[b].length
 
 
-def test_covers_need_bd():
-    datum = custom_datum([[2, -1], [-1, 2]])
-    h = build_hasse(ParabolicChoice(datum, frozenset({1})))
-    with pytest.raises(OrthoweylError):
-        with_bruhat_covers(h)
-
-
-def test_custom_datum_walk_matches_a2():
-    # A2 pairing, one crossed node: three cosets of lengths 0,1,2
-    datum = custom_datum([[2, -1], [-1, 2]])
-    h = build_hasse(ParabolicChoice(datum, frozenset({1})))
-    assert [node.length for node in h.nodes] == [0, 1, 2]
-
-
 def test_dot_output():
     single = build_hasse(ParabolicChoice(B3, frozenset()))
     dot = to_dot(single)
@@ -265,7 +250,7 @@ def test_dot_output():
     assert 'n0 [label="(0,1,0)"];' in dot
     assert 'label="s2"' in dot
 
-    with_dashed = to_dot(with_bruhat_covers(h), include_covers=True)
+    with_dashed = to_dot(with_bruhat_covers(h))
     assert with_dashed.count('style="dashed"') == len(
         set(with_bruhat_covers(h).cover_edges) - {(a, b) for a, b, _ in h.algo_edges}
     )

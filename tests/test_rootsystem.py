@@ -9,7 +9,6 @@ from orthoweyl.rootsystem import (
     DynkinKind,
     Weight,
     _eps_positive_roots,
-    custom_datum,
     doubled_epsilon,
     make_datum,
     positive_coroot_vectors,
@@ -44,6 +43,8 @@ def test_rank_minimums():
         make_datum(DynkinKind.B, 2)
     with pytest.raises(UnsupportedRankError):
         make_datum(DynkinKind.D, 3)
+    with pytest.raises(UnsupportedKindError, match="type B or D"):
+        make_datum("A", 3)
 
 
 def test_reflection_known_orbit_steps():
@@ -120,19 +121,11 @@ def test_epsilon_roundtrip(vec):
     assert from_epsilon(B3, to_epsilon(B3, w3)) == w3
 
 
-def test_epsilon_needs_bd():
-    datum = custom_datum([[2, -1], [-3, 2]])  # G2 pairing
-    with pytest.raises(UnsupportedKindError):
-        to_epsilon(datum, Weight.from_constants([1, 0]))
-    with pytest.raises(UnsupportedKindError):
-        positive_root_vectors(datum)
-
-
 def test_weight_render():
     assert const([0, 1, 0]).render() == "(0,1,0)"
     sym = Weight.symbolic(2)
     assert sym.render() == "(λ1,λ2)"
-    assert (sym + rho(custom_datum([[2, -1], [-1, 2]]))).render() == "(λ1+1,λ2+1)"
+    assert (sym + Weight.from_constants([1, 1])).render() == "(λ1+1,λ2+1)"
 
 
 def test_half_sum_of_positive_roots_is_rho():
