@@ -399,9 +399,8 @@ def regular_weight(g: GroupSpec, lam_values: Sequence[RationalLike]) -> Weight:
         )
     assignment = tuple(Fraction(v) for v in lam_values)
     if not all(v > 0 for v in assignment):
-        raise RegularityError(
-            f"highest weight must be regular (all coordinates > 0): {assignment}"
-        )
+        values = ", ".join(map(str, assignment))
+        raise RegularityError(f"highest weight must be regular (all coordinates > 0): {values}")
     return Weight.from_constants(assignment, g.k)
 
 

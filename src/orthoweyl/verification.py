@@ -8,18 +8,23 @@ antisymmetry of the evaluation coefficients, sign rules at random regular
 weights, regularity propagation, and the degree-support tiling.
 
 The ``reduced-words``, ``oracle``, ``group-order`` and ``back-or-forth`` rows
-work in ε-coordinates, where W(B_k) and W(D_k) are signed-permutation groups
-(Björner–Brenti, ch. 8).  Each s_j reflects every ε_i in α_j, and u ↦ u∘s_j is
-a fixed gather with at most two sign flips.  A root is positive when its first
-nonzero ε-coordinate is.  ``reduced-words`` counts, for every walk word of w,
-the positive roots that w^{-1} sends negative; that count is l(w), and it must
-equal the word's length and the stored length.  The group is the breadth-first
-closure under the u ↦ u∘s_j maps, with each element's BFS layer as its length,
-and ``group-order`` is its size.  ``oracle`` keeps each u with u(α_j) > 0 for
-every uncrossed j and compares that set with w^{-1} of every walk word.
+treat W(B_k) and W(D_k) as signed permutations of ε_1..ε_k (Björner–Brenti,
+ch. 8), each u encoded as the 2k bytes f(u(1)), …, f(u(k)), f(u(-1)), …,
+f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the signed indices as
+1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)`` and a root's sign
+is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] < u[pos(-τb)], and
+u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte of u(x).
+``reduced-words`` counts the positive roots that w^{-1} sends negative, l(w),
+for every walk word of w; it must equal the word's and the stored length.  The
+group is the breadth-first closure under u ↦ s_j∘u, each BFS layer a length;
+``group-order`` is its size.  ``oracle`` keeps each u with u(α_j) > 0 for
+every uncrossed j and compares that set with the walk words' w^{-1}.
 ``back-or-forth`` checks l(u∘s_j) = l(u) ∓ 1 as u(α_j) is negative or
-positive.  ``recombination`` checks B·(R·W) = W in integers, for restrict's
-action R, the basis B and 100 random symbolic weights W per parabolic.
+positive, u∘s_j a fixed gather of u's bytes.  It stays right-handed because
+the closure grows from the left, so the layers it compares were not assigned
+by the step it checks.  ``recombination`` checks (B·R)·W = W in integers, for
+restrict's action R, the basis B and 100 random symbolic weights W per
+parabolic.
 
 Factorial-size checks (full-group enumeration) run only while the rank is
 small; above the guard they are reported as skipped, never silently dropped.
@@ -34,8 +39,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from operator import itemgetter, mul
+from operator import gt, itemgetter, mul
+from typing import Callable
 
 from .eisenstein import degree_support, evaluation_coefficient, parabolic_report
 from .hasse import build_hasse, length_histogram, with_bruhat_covers
@@ -110,9 +115,9 @@ def _times(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _recombination(g: GroupSpec, rng: random.Random) -> str:
-    """The first trial with B·(R·W) ≠ W, or "".  R (restrict at the symbolic weight,
-    constants last) and B are made integer (doubled); W's rows are random forms'
-    coefficients ``randint(-6, 6) / randint(1, 4)`` times 12, and (0, …, 0, 12)."""
+    """The first trial with (B·R)·W ≠ W, or "".  R (restrict at the symbolic weight,
+    constants last) and B are made integer (doubled) and multiplied once; W's rows are
+    random forms' coefficients ``randint(-6, 6) / randint(1, 4)`` times 12, and (0, …, 0, 12)."""
     k, randint = g.k, rng.randint
     for p in PARABOLICS:
         r = restrict(g, p, Weight.symbolic(k))
@@ -120,17 +125,18 @@ def _recombination(g: GroupSpec, rng: random.Random) -> str:
         rmat, rs = _integer_rows([[*map(f.coefficient, range(1, k + 1)), f.constant] for f in forms])
         head, tail = restriction_basis(g, p)
         bmat, bs = _integer_rows(list(zip(*(b.constant_tuple() for b in (head, *tail)))))
+        br = _times(bmat, rmat)
         for trial in range(100):
             w = [[randint(-6, 6) * (12 // randint(1, 4)) for _ in range(k + 1)] for _ in range(k)]
-            back = _times(bmat, _times(rmat, [*w, [0] * k + [12]]))
+            back = _times(br, [*w, [0] * k + [12]])
             if back != [[rs * bs * x for x in row] for row in w]:
                 return f"{p.name}: trial {trial}"
     return ""
 
 
-# --- the oracle group as signed permutations of ε_1..ε_k ---------------------
+# --- the oracle group as byte-encoded signed permutations -------------------
 
-#: Entry i is ±m when the element sends ε_{i+1} to ±ε_m.
+#: Entry i is ±m when the element sends ε_{i+1} to ±ε_m.  Details print it decoded.
 SignedPermutation = tuple[int, ...]
 
 
@@ -151,42 +157,44 @@ def generator_permutations(datum: RootDatum) -> tuple[SignedPermutation, ...]:
     return tuple(gens)
 
 
-def _compose(u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
-    """u∘v: v acts first."""
-    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
+def encode(u: SignedPermutation) -> bytes:
+    """The bytes f(u(1)), …, f(u(k)), f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1."""
+    return bytes([x % (2 * len(u) + 1) for x in (*u, *(-x for x in u))])
 
 
-def right_multipliers(gens: tuple[SignedPermutation, ...]) -> list:
-    """For each s in ``gens``, u ↦ u∘s: gather u at |s(i)| - 1, then negate the
-    entries where s(i) < 0 (at most two for a simple reflection of B or D)."""
-    out = []
-    for s in gens:
-        gather = itemgetter(*[abs(x) - 1 for x in s])
-        flips = [i for i, x in enumerate(s) if x < 0]
-
-        def times(u, gather=gather, flips=flips):
-            v = list(gather(u))
-            for i in flips:
-                v[i] = -v[i]
-            return tuple(v)
-
-        out.append(times if flips else gather)
-    return out
+def decode(u: bytes) -> SignedPermutation:
+    """The signed permutation that the bytes ``u`` encode: f^{-1} of its first k bytes."""
+    return tuple([x if 2 * x <= len(u) else x - len(u) - 1 for x in u[: len(u) // 2]])
 
 
-def signed_permutation_closure(gens: tuple[SignedPermutation, ...]) -> dict[SignedPermutation, int]:
-    """The group generated by ``gens``, each element with its breadth-first layer,
-    which is its length when ``gens`` are the simple reflections."""
-    ident = tuple(range(1, len(gens[0]) + 1))
-    times = right_multipliers(gens)
+def _position(k: int, x: int) -> int:
+    """The byte that holds u(x), for a signed index x."""
+    return x - 1 if x > 0 else k - x - 1
+
+
+def left_action(datum: RootDatum) -> tuple[bytes, tuple[bytes, ...]]:
+    """The identity's bytes and, per s_j, the table with s_j∘u = u.translate(table)."""
+    ident = encode(tuple(range(1, datum.rank + 1)))
+    return ident, tuple(bytes.maketrans(ident, encode(s)) for s in generator_permutations(datum))
+
+
+def right_gathers(datum: RootDatum) -> list[Callable[[bytes], tuple[int, ...]]]:
+    """Per s_j, the gather with u∘s_j = bytes(gather(u)): pos(x) takes pos(s_j(x))."""
+    k = datum.rank
+    gens = generator_permutations(datum)
+    return [itemgetter(*[_position(k, x) for x in (*s, *(-x for x in s))]) for s in gens]
+
+
+def group_closure(ident: bytes, tables: tuple[bytes, ...]) -> dict[bytes, int]:
+    """The group the ``tables`` generate, each element with its BFS layer: its length."""
     length = {ident: 0}
     frontier = [ident]
     while frontier:
+        l = length[frontier[0]] + 1
         fresh = []
         for u in frontier:
-            l = length[u] + 1
-            for t in times:
-                v = t(u)
+            for t in tables:
+                v = u.translate(t)
                 if v not in length:
                     length[v] = l
                     fresh.append(v)
@@ -194,55 +202,46 @@ def signed_permutation_closure(gens: tuple[SignedPermutation, ...]) -> dict[Sign
     return length
 
 
-def word_inverse(gens: tuple[SignedPermutation, ...], word: WeylWord) -> SignedPermutation:
+def encoded_inverse(ident: bytes, tables: tuple[bytes, ...], word: WeylWord) -> bytes:
     """w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w."""
-    u = tuple(range(1, len(gens[0]) + 1))
+    u = ident
     for j in word:
-        u = _compose(gens[j - 1], u)
+        u = u.translate(tables[j - 1])
     return u
 
 
-def _root_terms(datum: RootDatum, root: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The nonzero ε-coordinates of twice a ϖ-coordinate root, as (index, value) pairs."""
-    return [(i, c) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
+def sign_positions(datum: RootDatum, root: tuple[int, ...]) -> tuple[int, int]:
+    """Bytes (p, q) with u(β) > 0 iff u[p] < u[q], for the ϖ-coordinate root β:
+    p = pos(σa), q = pos(-τb) for β = σε_a + τε_b, and q = pos(-σa) for β = σε_a."""
+    signed = [i + 1 if c > 0 else -(i + 1) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
+    return _position(datum.rank, signed[0]), _position(datum.rank, -signed[-1])
 
 
-def _sends_positive(u: SignedPermutation, terms: list[tuple[int, int]]) -> bool:
-    """Whether u maps the root with these one or two ε-terms to a positive root:
-    the sign of the image term with the smallest ε-index."""
-    if len(terms) == 1:
-        ((i, c),) = terms
-        return (u[i] > 0) == (c > 0)
-    (i, c), (m, d) = terms
-    x, y = u[i], u[m]
-    return (x > 0) == (c > 0) if abs(x) < abs(y) else (y > 0) == (d > 0)
-
-
-def minimal_inverses(
-    datum: RootDatum, group: dict[SignedPermutation, int], crossed: frozenset[int]
-) -> set[SignedPermutation]:
+def minimal_inverses(datum: RootDatum, group: dict, crossed: frozenset[int]) -> set[bytes]:
     """Every u in ``group`` with u(α_j) > 0 for each uncrossed j."""
-    keep = group
-    uncrossed = (j for j in range(1, datum.rank + 1) if j not in crossed)
-    for terms in (_root_terms(datum, simple_root_vector(datum, j)) for j in uncrossed):
-        keep = filter(partial(_sends_positive, terms=terms), keep)
+    keep = list(group)
+    for j in range(1, datum.rank + 1):
+        if j not in crossed:
+            p, q = sign_positions(datum, simple_root_vector(datum, j))
+            keep = [u for u in keep if u[p] < u[q]]
     return set(keep)
 
 
-def _inversion_count(u: SignedPermutation, roots: list[list[tuple[int, int]]]) -> int:
-    """#{β in ``roots`` : u(β) < 0}; over all positive roots with u = w^{-1} this is
-    the inversion set {β > 0 : w^{-1}(β) < 0}'s size, the length of w."""
-    return sum(not _sends_positive(u, terms) for terms in roots)
+def inversion_counter(datum: RootDatum) -> Callable[[bytes], int]:
+    """u ↦ #{β > 0 : u(β) < 0}; for u = w^{-1} that is the inversion set's size, l(w)."""
+    firsts, seconds = zip(*[sign_positions(datum, beta) for beta in positive_root_vectors(datum)])
+    first, second = itemgetter(*firsts), itemgetter(*seconds)
+    return lambda u: sum(map(gt, first(u), second(u)))
 
 
 def _reduced_words(g: GroupSpec, diagrams: dict) -> str:
     """The first walk node whose word length, stored length and length of w differ,
-    or "".  The length of w is counted on the signed permutation w^{-1}."""
-    gens = generator_permutations(g.datum)
-    roots = [_root_terms(g.datum, beta) for beta in positive_root_vectors(g.datum)]
+    or "".  The length of w is counted on the encoded w^{-1}."""
+    ident, tables = left_action(g.datum)
+    count = inversion_counter(g.datum)
     for p in PARABOLICS:
         for node in diagrams[p].nodes:
-            length = _inversion_count(word_inverse(gens, node.word), roots)
+            length = count(encoded_inverse(ident, tables, node.word))
             if not length == len(node.word) == node.length:
                 return f"{p.name}: word {node.word}"
     return ""
@@ -295,11 +294,11 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
             out(CheckResult("oracle", n, "SKIP", f"rank {k} > {ORACLE_MAX_RANK}"))
             out(CheckResult("group-order", n, "SKIP", f"rank {k} > {ORACLE_MAX_RANK}"))
         else:
-            gens = generator_permutations(g.datum)
-            group = signed_permutation_closure(gens)
+            ident, tables = left_action(g.datum)
+            group = group_closure(ident, tables)
             detail = ""
             for p in PARABOLICS:
-                algo = {word_inverse(gens, nd.word) for nd in diagrams[p].nodes}
+                algo = {encoded_inverse(ident, tables, nd.word) for nd in diagrams[p].nodes}
                 oracle = minimal_inverses(g.datum, group, crossed_simple_roots(g, p))
                 if algo != oracle:
                     detail = (
@@ -317,12 +316,12 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
             out(CheckResult("back-or-forth", n, "SKIP", f"rank {k} > {BACK_OR_FORTH_MAX_RANK}"))
         else:
             detail = ""
-            alphas = [_root_terms(g.datum, simple_root_vector(g.datum, j)) for j in range(1, k + 1)]
-            times = right_multipliers(gens)
+            alphas = [simple_root_vector(g.datum, j) for j in range(1, k + 1)]
+            steps = list(zip(right_gathers(g.datum), (sign_positions(g.datum, a) for a in alphas)))
             for u, l in group.items():
-                for j, (t, alpha) in enumerate(zip(times, alphas), start=1):
-                    if group[t(u)] != (l + 1 if _sends_positive(u, alpha) else l - 1):
-                        detail = f"w={u}, j={j}"
+                for j, (t, (a, b)) in enumerate(steps, start=1):
+                    if group[bytes(t(u))] != (l + 1 if u[a] < u[b] else l - 1):
+                        detail = f"w={decode(u)}, j={j}"
                         break
                 if detail:
                     break
@@ -348,10 +347,10 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
         for p in PARABOLICS:
             dim = nilradical_dim(g, p)
             for rec in parabolic_report(g, p, lam, diagrams[p]).records:
-                a = rec.a_normalized.constant_value()
-                if (2 * rec.length < dim and not a < 0) or (2 * rec.length > dim and not a > 0):
+                a, twice = rec.a_normalized.constant_value(), 2 * rec.length
+                if not detail and (twice < dim and not a < 0 or twice > dim and not a > 0):
                     detail = f"{p.name} l={rec.length}: a={a}"
-                if any(f.constant_value() <= 0 for f in rec.mu_restricted):
+                if not detail2 and any(f.constant_value() <= 0 for f in rec.mu_restricted):
                     detail2 = f"{p.name} word {rec.word}"
         out(_verdict("sign-rule", n, detail))
         out(_verdict("mu-regular", n, detail2))
@@ -382,11 +381,11 @@ def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
                 detail = f"{p.name}: q_min != n"
                 break
             dim = nilradical_dim(g, p)
-            for d in cuspidal_degrees(g, p):
-                for node in diagrams[p].nodes:
-                    if d + node.length >= g.n and 2 * node.length < dim:
-                        detail = f"{p.name}: holomorphy gap at l={node.length}"
-                        break
+            lengths = [nd.length for nd in diagrams[p].nodes if 2 * nd.length < dim]
+            gap = next((l for d in cuspidal_degrees(g, p) for l in lengths if d + l >= g.n), None)
+            if gap is not None:
+                detail = f"{p.name}: holomorphy gap at l={gap}"
+                break
         out(_verdict("support", n, detail))
 
         # 10. covers contain the walk edges; strictly more for n = 6

@@ -247,6 +247,21 @@ def test_lambda_zero_denominator_is_bad_input(capsys):
     assert code == 2
 
 
+def test_irregular_lambda_error_writes_values_plainly():
+    result = subprocess.run(
+        [sys.executable, "-m", "orthoweyl", "lambdaw", "--n", "5", "--parabolic", "P1",
+         "--lambda", "0,1,1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: highest weight must be regular (all coordinates > 0): 0, 1, 1\n"
+    )
+    assert "Fraction(" not in result.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

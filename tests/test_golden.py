@@ -14,7 +14,11 @@ signed-permutation closure; and of ``verify --n-max 11`` and ``--n-max 12``
 (text and json), the only runs reaching n = 11 and 12, where
 ``recombination`` runs on B6 and D7 and the ``sign-rule`` rows draw from the
 random stream after it, as produced before ``recombination`` moved to integer
-rows and the closure to a precomputed right action; and of ``report --n 41``
+rows and the closure to a precomputed right action; and of ``verify --n-max
+21`` (text), which checks ``recombination`` and ``reduced-words`` up to n = 21
+without the oracle, as produced before the oracle group moved to a
+byte-encoded signed-permutation model and ``recombination`` to one B·R
+product per parabolic; and of ``report --n 41``
 (text and json), as produced before every record came from one integer
 action-matrix reader.  Its ``demos`` entry is checked in ``test_demos.py``.
 """

@@ -13,15 +13,20 @@ from orthoweyl.linform import LinearForm
 from orthoweyl.verification import (
     PARABOLICS,
     CheckResult,
+    decode,
+    encode,
+    encoded_inverse,
     expected_coset_count,
     expected_group_order,
     format_results,
     generator_permutations,
+    group_closure,
+    inversion_counter,
+    left_action,
     minimal_inverses,
-    right_multipliers,
+    right_gathers,
     run_verification,
-    signed_permutation_closure,
-    word_inverse,
+    sign_positions,
 )
 from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec
 from orthoweyl.rootsystem import (
@@ -84,6 +89,84 @@ def test_format_results_summary_and_counterexample():
     assert "first failure: oracle at n=5" in text
 
 
+# --- k-tuple references: the group as tuples of signed indices ---
+#
+# ``verification`` encodes each element as 2k bytes.  These tuple versions
+# compose by definition and are the references the encoding is checked against.
+
+
+def _compose(u, v):
+    """u∘v: v acts first."""
+    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
+
+
+def right_multipliers(gens):
+    """For each s in ``gens``, u ↦ u∘s: gather u at |s(i)| - 1, then negate the
+    entries where s(i) < 0."""
+    out = []
+    for s in gens:
+        gather = [abs(x) - 1 for x in s]
+        flips = {i for i, x in enumerate(s) if x < 0}
+        out.append(
+            lambda u, gather=gather, flips=flips: tuple(
+                -u[m] if i in flips else u[m] for i, m in enumerate(gather)
+            )
+        )
+    return out
+
+
+def signed_permutation_closure(gens):
+    """The group generated by ``gens`` under right multiplication, each element with
+    its breadth-first layer."""
+    ident = tuple(range(1, len(gens[0]) + 1))
+    times = right_multipliers(gens)
+    length = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for t in times:
+                v = t(u)
+                if v not in length:
+                    length[v] = length[u] + 1
+                    fresh.append(v)
+        frontier = fresh
+    return length
+
+
+def word_inverse(gens, word):
+    """w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w."""
+    u = tuple(range(1, len(gens[0]) + 1))
+    for j in word:
+        u = _compose(gens[j - 1], u)
+    return u
+
+
+def _root_terms(datum, root):
+    """The nonzero ε-coordinates of twice a ϖ-coordinate root, as (index, value) pairs."""
+    return [(i, c) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
+
+
+def _sends_positive(u, terms):
+    """Whether u maps the root with these one or two ε-terms to a positive root:
+    the sign of the image term with the smallest ε-index."""
+    if len(terms) == 1:
+        ((i, c),) = terms
+        return (u[i] > 0) == (c > 0)
+    (i, c), (m, d) = terms
+    x, y = u[i], u[m]
+    return (x > 0) == (c > 0) if abs(x) < abs(y) else (y > 0) == (d > 0)
+
+
+def _inversion_count(u, roots):
+    """#{β in ``roots`` : u(β) < 0}."""
+    return sum(not _sends_positive(u, terms) for terms in roots)
+
+
+def _decoded_closure(datum):
+    return {decode(u): l for u, l in group_closure(*left_action(datum)).items()}
+
+
 def test_mutation_is_caught(monkeypatch):
     import orthoweyl.verification as verification
 
@@ -123,30 +206,33 @@ def test_reduced_words_run_at_large_n(n):
 def test_inversion_count_equals_inversion_vectors(n):
     g = group_spec(n)
     gens = generator_permutations(g.datum)
-    roots = [verification._root_terms(g.datum, beta) for beta in positive_root_vectors(g.datum)]
+    ident, tables = left_action(g.datum)
+    count = inversion_counter(g.datum)
+    roots = [_root_terms(g.datum, beta) for beta in positive_root_vectors(g.datum)]
     for p in PARABOLICS:
         for node in diagram(n, p).nodes:
-            u = word_inverse(gens, node.word)
-            assert verification._inversion_count(u, roots) == len(
-                inversion_vectors(g.datum, node.word)
-            )
+            u = encoded_inverse(ident, tables, node.word)
+            assert decode(u) == word_inverse(gens, node.word)
+            assert count(u) == _inversion_count(decode(u), roots)
+            assert count(u) == len(inversion_vectors(g.datum, node.word))
 
 
 def test_back_or_forth_failure_is_reported(monkeypatch):
     import orthoweyl.verification as verification
 
-    original = verification.signed_permutation_closure
-    tampered = generator_permutations(group_spec(7).datum)  # B4
+    original = verification.group_closure
+    gens = generator_permutations(group_spec(7).datum)  # B4
+    tampered = left_action(group_spec(7).datum)
 
-    def swapped(gens):
-        length = original(gens)
-        if gens == tampered:
+    def swapped(ident, tables):
+        length = original(ident, tables)
+        if (ident, tables) == tampered:
             # s1 (length 1) and s1·s2 (length 2) trade lengths
-            s1, s1s2 = gens[0], verification._compose(gens[0], gens[1])
+            s1, s1s2 = encode(gens[0]), encode(_compose(gens[0], gens[1]))
             length[s1], length[s1s2] = length[s1s2], length[s1]
         return length
 
-    monkeypatch.setattr(verification, "signed_permutation_closure", swapped)
+    monkeypatch.setattr(verification, "group_closure", swapped)
     rows = {(r.check, r.n): r for r in verification.run_verification(7)}
     assert rows[("back-or-forth", 7)].status == "FAIL"
     assert rows[("back-or-forth", 7)].detail == "w=(1, 2, 3, 4), j=1"
@@ -191,7 +277,7 @@ def test_generator_permutations_agree_with_generator_matrix(datum):
 def test_closure_is_the_enumerated_group(datum):
     # uncached, so the rank-6 groups are not kept for the rest of the session
     elements = enumerate_group.__wrapped__(datum)
-    closure = signed_permutation_closure(generator_permutations(datum))
+    closure = _decoded_closure(datum)
     assert len(closure) == len(elements)
     if datum.rank <= 5:
         want = {_as_signed_permutation(datum, e.matrix): len(e.word) for e in elements}
@@ -212,27 +298,25 @@ def _negative_image_count(u, roots):
 
 @pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
 def test_closure_length_is_the_inversion_count(datum):
-    roots = [
-        [(i, c) for i, c in enumerate(doubled_epsilon(datum, beta)) if c]
-        for beta in positive_root_vectors(datum)
-    ]
-    closure = signed_permutation_closure(generator_permutations(datum))
+    roots = [_root_terms(datum, beta) for beta in positive_root_vectors(datum)]
+    closure = _decoded_closure(datum)
     assert all(l == _negative_image_count(u, roots) for u, l in closure.items())
 
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_oracle_set_equals_bruteforce(n):
     g = group_spec(n)
-    gens = generator_permutations(g.datum)
-    group = signed_permutation_closure(gens)
+    ident, tables = left_action(g.datum)
+    group = group_closure(ident, tables)
     for p in PARABOLICS:
         crossed = crossed_simple_roots(g, p)
         want = {
             _as_signed_permutation(g.datum, word_action_matrix(g.datum, tuple(reversed(w))))
             for w in minimal_reps_bruteforce(g.datum, crossed)
         }
-        assert minimal_inverses(g.datum, group, crossed) == want
-        assert {word_inverse(gens, nd.word) for nd in diagram(n, p).nodes} == want
+        assert set(map(decode, minimal_inverses(g.datum, group, crossed))) == want
+        walk = {encoded_inverse(ident, tables, nd.word) for nd in diagram(n, p).nodes}
+        assert set(map(decode, walk)) == want
 
 
 def test_oracle_failure_is_reported(monkeypatch):
@@ -316,35 +400,44 @@ def _min_rule(u, terms):
     return c > 0
 
 
-def _epsilon_terms(datum):
-    """Every positive root as its nonzero doubled ε-coordinates."""
-    return [
-        [(i, c) for i, c in enumerate(doubled_epsilon(datum, beta)) if c]
-        for beta in positive_root_vectors(datum)
-    ]
-
-
 @pytest.mark.parametrize("datum", MID_DATA, ids=repr)
 @given(data=st.data())
 def test_right_multipliers_equal_compose(datum, data):
     gens = generator_permutations(datum)
     u = data.draw(signed_permutations(datum.rank))
-    for s, times in zip(gens, right_multipliers(gens)):
-        assert times(u) == verification._compose(u, s)
+    code = encode(u)
+    for s, gather, times in zip(gens, right_gathers(datum), right_multipliers(gens)):
+        assert decode(bytes(gather(code))) == times(u) == _compose(u, s)
+
+
+@pytest.mark.parametrize("datum", MID_DATA, ids=repr)
+@given(data=st.data())
+def test_translate_tables_equal_left_compose(datum, data):
+    u = data.draw(signed_permutations(datum.rank))
+    ident, tables = left_action(datum)
+    code = encode(u)
+    assert len(code) == 2 * datum.rank and sorted(code) == sorted(ident)
+    assert decode(code) == u
+    assert decode(ident) == tuple(range(1, datum.rank + 1))
+    for s, table in zip(generator_permutations(datum), tables):
+        assert code.translate(table) == encode(_compose(s, u))
 
 
 @pytest.mark.parametrize("datum", MID_DATA, ids=repr)
 @given(data=st.data())
 def test_sends_positive_equals_min_rule(datum, data):
     u = data.draw(signed_permutations(datum.rank))
-    roots = _epsilon_terms(datum)
-    assert {len(terms) for terms in roots} <= {1, 2}
-    for terms in roots + [[(i, -c) for i, c in terms] for terms in roots]:
-        assert verification._sends_positive(u, terms) == _min_rule(u, terms)
+    code = encode(u)
+    roots = [(beta, _root_terms(datum, beta)) for beta in positive_root_vectors(datum)]
+    assert {len(t) for _, t in roots} <= {1, 2}
+    roots += [(tuple(-x for x in beta), [(i, -c) for i, c in t]) for beta, t in roots]
+    for beta, t in roots:
+        p, q = sign_positions(datum, beta)
+        assert (code[p] < code[q]) == _min_rule(u, t) == _sends_positive(u, t)
 
 
 def _compose_closure(gens):
-    """Breadth-first closure by the generic ``_compose``, each element with its layer."""
+    """Breadth-first closure by ``_compose`` on the right, each element with its layer."""
     ident = tuple(range(1, len(gens[0]) + 1))
     length = {ident: 0}
     frontier = [ident]
@@ -352,7 +445,7 @@ def _compose_closure(gens):
         fresh = []
         for u in frontier:
             for s in gens:
-                v = verification._compose(u, s)
+                v = _compose(u, s)
                 if v not in length:
                     length[v] = length[u] + 1
                     fresh.append(v)
@@ -363,9 +456,10 @@ def _compose_closure(gens):
 @pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
 def test_closure_equals_compose_closure(datum):
     gens = generator_permutations(datum)
-    closure, want = signed_permutation_closure(gens), _compose_closure(gens)
-    assert closure == want
-    assert list(closure) == list(want)  # same BFS order, so the same first failure
+    want = _compose_closure(gens)
+    assert _decoded_closure(datum) == want  # lengths included
+    reference = signed_permutation_closure(gens)
+    assert reference == want and list(reference) == list(want)
 
 
 # --- recombination: integer rows against the LinearForm reference ---
@@ -466,6 +560,14 @@ def test_recombination_mutation_fails_as_the_reference(monkeypatch, mutation, p)
     assert row.detail == want
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 10])
+@pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
+def test_recombination_fails_at_trial_zero_when_b_changes(monkeypatch, p, n):
+    # one entry of B changes, so B·R is no longer a multiple of the identity
+    monkeypatch.setattr(*_basis_with_minus_one(p))
+    assert verification._recombination(group_spec(n), random.Random(n)) == f"{p.name}: trial 0"
+
+
 # --- the record checks run at every n ---
 
 
@@ -491,3 +593,38 @@ def test_sign_rule_failure_is_reported_at_thirteen(monkeypatch):
     assert rows[("sign-rule", 13)].status == "FAIL"
     assert rows[("sign-rule", 13)].detail.startswith("P1 l=0: a=")
     assert rows[("sign-rule", 12)].status == "PASS"
+
+
+def _every_record(change):
+    """``parabolic_report`` with ``change`` applied to every record, for each parabolic."""
+    original = verification.parabolic_report
+
+    def tampered(g, p, lam, diagram):
+        report = original(g, p, lam, diagram)
+        return replace(report, records=tuple(map(change, report.records)))
+
+    return verification, "parabolic_report", tampered
+
+
+def test_sign_rule_reports_the_first_failure(monkeypatch):
+    monkeypatch.setattr(*_every_record(lambda r: replace(r, a_normalized=-r.a_normalized)))
+    row = next(r for r in run_verification(7) if r.check == "sign-rule" and r.n == 7)
+    assert row.status == "FAIL"
+    assert row.detail.startswith("P1 l=0: a=")
+
+
+def test_mu_regular_reports_the_first_failure(monkeypatch):
+    def zero(rec):
+        mu = tuple(LinearForm.zero(f.nvars) for f in rec.mu_restricted)
+        return replace(rec, mu_restricted=mu)
+
+    monkeypatch.setattr(*_every_record(zero))
+    row = next(r for r in run_verification(5) if r.check == "mu-regular")
+    assert (row.status, row.detail) == ("FAIL", "P1 word ()")
+
+
+def test_support_reports_the_first_failure(monkeypatch):
+    # a cuspidal degree of n makes l = 0 a holomorphy gap in both parabolics
+    monkeypatch.setattr(verification, "cuspidal_degrees", lambda g, p: (g.n,))
+    row = next(r for r in run_verification(5) if r.check == "support")
+    assert (row.status, row.detail) == ("FAIL", "P1: holomorphy gap at l=0")
