@@ -153,7 +153,8 @@ def with_bruhat_covers(h: HasseDiagram) -> HasseDiagram:
     the module docstring for why this is the whole relation).  Every walk
     edge is such a cover, and the completed relation may be strictly larger.
     A reflected weight that is not a node means the diagram is not a closed
-    orbit, and raises :class:`OrthoweylError`.
+    orbit, and raises :class:`OrthoweylError`; so does a walk edge that is not
+    a cover, as when a node's stored length is wrong.
     """
     datum = h.parabolic.datum
     roots = tuple(zip(positive_root_vectors(datum), positive_coroot_vectors(datum)))
@@ -173,7 +174,8 @@ def with_bruhat_covers(h: HasseDiagram) -> HasseDiagram:
                 raise OrthoweylError(f"orbit not closed: reflecting {x} gives {y}, not a node")
             if target.length == node.length + 1:
                 covers.add((node.id, target.id))
-    assert {(a, b) for a, b, _ in h.algo_edges} <= covers
+    if not {(a, b) for a, b, _ in h.algo_edges} <= covers:
+        raise OrthoweylError("walk edge missing from covers")
     return replace(h, cover_edges=tuple(sorted(covers)))
 
 

@@ -368,3 +368,11 @@ def test_covers_refuse_an_orbit_with_a_node_missing():
     )
     with pytest.raises(OrthoweylError, match="orbit not closed"):
         with_bruhat_covers(broken)
+
+
+def test_covers_refuse_a_walk_edge_that_is_not_a_cover():
+    h = build_hasse(P2_D4)
+    nodes = list(h.nodes)
+    nodes[1] = replace(nodes[1], length=nodes[1].length + 1)  # its walk edge skips a length
+    with pytest.raises(OrthoweylError, match="walk edge missing from covers"):
+        with_bruhat_covers(replace(h, nodes=tuple(nodes)))

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +23,7 @@ from orthoweyl.verification import (
     expected_group_order,
     format_results,
     generator_permutations,
-    group_closure,
+    group_layers,
     inversion_counter,
     left_action,
     minimal_inverses,
@@ -163,6 +166,24 @@ def _inversion_count(u, roots):
     return sum(not _sends_positive(u, terms) for terms in roots)
 
 
+def group_closure(ident, tables):
+    """The group the ``tables`` generate, each element with its BFS layer, held whole:
+    the closure ``group_layers`` streams."""
+    length = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        l = length[frontier[0]] + 1
+        fresh = []
+        for u in frontier:
+            for t in tables:
+                v = u.translate(t)
+                if v not in length:
+                    length[v] = l
+                    fresh.append(v)
+        frontier = fresh
+    return length
+
+
 def _decoded_closure(datum):
     return {decode(u): l for u, l in group_closure(*left_action(datum)).items()}
 
@@ -220,19 +241,18 @@ def test_inversion_count_equals_inversion_vectors(n):
 def test_back_or_forth_failure_is_reported(monkeypatch):
     import orthoweyl.verification as verification
 
-    original = verification.group_closure
+    original = verification.group_layers
     gens = generator_permutations(group_spec(7).datum)  # B4
     tampered = left_action(group_spec(7).datum)
+    # s1 (layer 1) and s1·s2 (layer 2) trade layers
+    s1, s1s2 = encode(gens[0]), encode(_compose(gens[0], gens[1]))
+    trade = {s1: s1s2, s1s2: s1}
 
     def swapped(ident, tables):
-        length = original(ident, tables)
-        if (ident, tables) == tampered:
-            # s1 (length 1) and s1·s2 (length 2) trade lengths
-            s1, s1s2 = encode(gens[0]), encode(_compose(gens[0], gens[1]))
-            length[s1], length[s1s2] = length[s1s2], length[s1]
-        return length
+        for layer in original(ident, tables):
+            yield [trade.get(u, u) for u in layer] if (ident, tables) == tampered else layer
 
-    monkeypatch.setattr(verification, "group_closure", swapped)
+    monkeypatch.setattr(verification, "group_layers", swapped)
     rows = {(r.check, r.n): r for r in verification.run_verification(7)}
     assert rows[("back-or-forth", 7)].status == "FAIL"
     assert rows[("back-or-forth", 7)].detail == "w=(1, 2, 3, 4), j=1"
@@ -462,6 +482,60 @@ def test_closure_equals_compose_closure(datum):
     assert reference == want and list(reference) == list(want)
 
 
+# --- the closure streamed one layer at a time ---
+
+
+@pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
+def test_layers_concatenate_to_the_closure(datum):
+    ident, tables = left_action(datum)
+    layers = islice(group_layers(ident, tables), len(positive_root_vectors(datum)) + 2)
+    streamed = [(u, l) for l, layer in enumerate(layers) for u in layer]
+    assert streamed == list(group_closure(ident, tables).items())  # order and lengths too
+
+
+def _streamed_oracle(g, ident, tables):
+    oracle = {p: set() for p in PARABOLICS}
+    for layer in group_layers(ident, tables):
+        for p in PARABOLICS:
+            oracle[p] |= minimal_inverses(g.datum, layer, crossed_simple_roots(g, p))
+    return oracle
+
+
+def test_streamed_oracle_peak_is_under_half_the_closure():
+    g = group_spec(10)  # D6, 23 040 elements
+    ident, tables = left_action(g.datum)
+    tracemalloc.start()
+    try:
+        oracle = _streamed_oracle(g, ident, tables)
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        group = group_closure(ident, tables)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == expected_group_order(g)
+    for p in PARABOLICS:
+        assert oracle[p] == minimal_inverses(g.datum, group, crossed_simple_roots(g, p))
+    assert streamed < whole / 2
+
+
+@pytest.mark.parametrize("n", [5, 6, 10])
+def test_tables_that_are_not_involutions_end_in_a_fail_row(monkeypatch, n):
+    original = verification.generator_permutations
+
+    def cycled(datum):
+        # s1 becomes ε_1 → ε_2 → … → ε_k → ε_1, of order k: u and s1∘u may lie
+        # layers apart, so the three-layer window repeats elements without end
+        k = datum.rank
+        return (tuple(range(2, k + 1)) + (1,),) + original(datum)[1:]
+
+    monkeypatch.setattr(verification, "generator_permutations", cycled)
+    rows = {r.check: r for r in run_verification(n) if r.n == n}
+    assert rows["group-order"].status == "FAIL"
+    assert rows["group-order"].detail.endswith(f" != {expected_group_order(group_spec(n))}")
+    assert "support" in rows  # the last row at every n
+
+
 # --- recombination: integer rows against the LinearForm reference ---
 
 
@@ -560,6 +634,58 @@ def test_recombination_mutation_fails_as_the_reference(monkeypatch, mutation, p)
     assert row.detail == want
 
 
+def _times(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _randint_recombination(g, rng):
+    """The check with W drawn by ``randint`` and (B·R)·W a full product: the reference
+    for the stream that ``_trial_values`` reads."""
+    k, randint = g.k, rng.randint
+    for p in PARABOLICS:
+        r = verification.restrict(g, p, Weight.symbolic(k))
+        forms = (r.a_coefficient, *r.b_coords)
+        rows = [[*map(f.coefficient, range(1, k + 1)), f.constant] for f in forms]
+        rmat, rs = verification._integer_rows(rows)
+        head, tail = verification.restriction_basis(g, p)
+        basis = list(zip(*(b.constant_tuple() for b in (head, *tail))))
+        bmat, bs = verification._integer_rows(basis)
+        br = _times(bmat, rmat)
+        for trial in range(100):
+            w = [[randint(-6, 6) * (12 // randint(1, 4)) for _ in range(k + 1)] for _ in range(k)]
+            back = _times(br, [*w, [0] * k + [12]])
+            if back != [[rs * bs * x for x in row] for row in w]:
+                return f"{p.name}: trial {trial}"
+    return ""
+
+
+@given(seed=st.integers(0, 2**64), count=st.integers(0, 400))
+def test_trial_values_equal_randint(seed, count):
+    fast, slow = random.Random(seed), random.Random(seed)
+    got = list(islice(verification._trial_values(fast), count))
+    assert got == [slow.randint(-6, 6) * (12 // slow.randint(1, 4)) for _ in range(count)]
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("n", range(5, 14))
+def test_recombination_equals_randint_reference(n):
+    fast, slow = random.Random(n), random.Random(n)
+    assert verification._recombination(group_spec(n), fast) == ""
+    assert _randint_recombination(group_spec(n), slow) == ""
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 10])
+@pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
+def test_recombination_failure_leaves_the_randint_state(monkeypatch, p, n):
+    monkeypatch.setattr(*_basis_with_minus_one(p))
+    fast, slow = random.Random(n), random.Random(n)
+    assert verification._recombination(group_spec(n), fast) == f"{p.name}: trial 0"
+    assert _randint_recombination(group_spec(n), slow) == f"{p.name}: trial 0"
+    assert fast.getstate() == slow.getstate()
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 10])
 @pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
 def test_recombination_fails_at_trial_zero_when_b_changes(monkeypatch, p, n):
@@ -628,3 +754,40 @@ def test_support_reports_the_first_failure(monkeypatch):
     monkeypatch.setattr(verification, "cuspidal_degrees", lambda g, p: (g.n,))
     row = next(r for r in run_verification(5) if r.check == "support")
     assert (row.status, row.detail) == ("FAIL", "P1: holomorphy gap at l=0")
+
+
+# --- a node with a wrong stored length ends in FAIL rows, not an error ---
+
+
+def _p1_node_moved(monkeypatch, old, new):
+    """At n = 5, P1's node of length ``old`` is stored with length ``new``."""
+    original = verification._diagrams
+
+    def tampered(g):
+        diagrams = dict(original(g))
+        if g.n == 5:
+            h = diagrams[MaximalParabolic.P1]
+            nodes = tuple(replace(nd, length=new) if nd.length == old else nd for nd in h.nodes)
+            diagrams[MaximalParabolic.P1] = replace(h, nodes=nodes)
+        return diagrams
+
+    monkeypatch.setattr(verification, "_diagrams", tampered)
+
+
+def test_histogram_with_a_gap_is_not_palindromic(monkeypatch):
+    _p1_node_moved(monkeypatch, 4, 3)  # N(4) = 0, N(3) = 2
+    row = next(r for r in run_verification(5) if r.check == "histogram")
+    assert (row.status, row.detail) == ("FAIL", "P1: N(l) not palindromic")
+
+
+def test_record_reader_error_fails_the_record_rows(monkeypatch, capsys):
+    _p1_node_moved(monkeypatch, 1, 2)
+    rows = {(r.check, r.n): r for r in run_verification(6)}
+    message = "word (1,) has length 1, but its node says 2"
+    for check in ("sign-rule", "mu-regular", "a2-by-length"):
+        assert (rows[(check, 5)].status, rows[(check, 5)].detail) == ("FAIL", message)
+    assert rows[("support", 5)].status == "PASS"
+    assert rows[("covers", 5)].detail == "P1: walk edge missing from covers"
+    assert all(r.status == "PASS" for (_, n), r in rows.items() if n == 6)
+    assert main(["verify", "--n-max", "5"]) == 1
+    assert f"sign-rule      n=5   FAIL  [{message}]" in capsys.readouterr().out
