@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .eisenstein import ParabolicReport, Report, full_report, parabolic_report, regular_weight
 from .errors import OrthoweylError
@@ -69,13 +70,65 @@ def _group(args) -> GroupSpec:
         raise _CliError(str(exc)) from None
 
 
-def _emit(text: str, out: str | None) -> int:
+#: Characters gathered from a stream of chunks before each write.  A JSON
+#: document arrives as many short chunks: one write per batch keeps the system
+#: calls few when stdout is unbuffered, and the batch bounds what is held.
+_BATCH_CHARS = 8192
+
+_JSON = json.JSONEncoder(ensure_ascii=False, indent=2)
+
+
+def _batches(chunks: str | Iterable[str]) -> Iterator[str]:
+    if isinstance(chunks, str):
+        yield chunks
+        return
+    batch: list[str] = []
+    size = 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield "".join(batch)
+
+
+def _stdout_writer() -> Callable[[str], object]:
+    stream = sys.stdout
+    raw = getattr(stream, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        return stream.write  # a buffered layer finishes a short write itself
+    # Unbuffered stdout (``python -u``): the text layer hands each write to
+    # the file once and drops whatever a short write left over, so a reader
+    # that closes early would truncate the output without an error.  Write
+    # the rest until it is taken or the write raises.
+
+    def write(text: str) -> None:
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            written = raw.write(data)
+            if not written:
+                raise BlockingIOError(errno.EAGAIN, "stdout took no bytes")
+            data = data[written:]
+
+    return write
+
+
+def _emit(chunks: str | Iterable[str], out: str | None) -> int:
+    """Write ``chunks`` (one ``str``, or an iterable of them) to ``out`` or stdout.
+
+    The chunks are written in batches of about ``_BATCH_CHARS`` characters as
+    they arrive, so a streamed document is never held whole.
+    """
     if out is None:
         if sys.stdout is None:  # fd 1 was already closed when the interpreter started
             print("error: cannot write to stdout: stdout is closed", file=sys.stderr)
             return EXIT_IO
+        write = _stdout_writer()
         try:
-            sys.stdout.write(text)
+            for batch in _batches(chunks):
+                write(batch)
             sys.stdout.flush()
         except OSError as exc:
             print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
@@ -89,15 +142,18 @@ def _emit(text: str, out: str | None) -> int:
         return EXIT_OK
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for batch in _batches(chunks):
+                fh.write(batch)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, ensure_ascii=False, indent=2) + "\n"``, chunk by chunk."""
+    yield from _JSON.iterencode(payload)
+    yield "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -146,7 +202,7 @@ def cmd_cosets(args) -> int:
             "total": len(diagram.nodes),
             "rows": rows,
         }
-        return _emit(_json_text(payload), args.out)
+        return _emit(_json_chunks(payload), args.out)
     table = [[str(r["length"]), r["word_repr"], str(r["count_at_length"])] for r in rows]
     header = ["length", "word", "N(l)"]
     if args.format == "csv":
@@ -166,7 +222,7 @@ def cmd_hasse(args) -> int:
     if args.format == "json":
         payload = {"command": "hasse", "n": g.n, "parabolic": p.name}
         payload.update(to_json_dict(diagram))
-        return _emit(_json_text(payload), args.out)
+        return _emit(_json_chunks(payload), args.out)
     return _emit(to_dot(diagram), args.out)
 
 
@@ -208,7 +264,7 @@ def _kostant_like(args, which: str) -> int:
             "lambda": None if lam is None else [str(v) for v in lam],
             "rows": rows,
         }
-        return _emit(_json_text(payload), args.out)
+        return _emit(_json_chunks(payload), args.out)
     if which == "kostant":
         header = ["length", "word"] + [f"mu_{i}" for i in range(1, g.k)]
         table = [[str(r["length"]), r["word_repr"], *r["mu"]] for r in rows]
@@ -321,7 +377,7 @@ def cmd_report(args) -> int:
     except OrthoweylError as exc:
         raise _CliError(str(exc)) from None
     if args.format == "json":
-        return _emit(_json_text(_report_payload(report)), args.out)
+        return _emit(_json_chunks(_report_payload(report)), args.out)
     return _emit(_report_text(report), args.out)
 
 
@@ -343,7 +399,7 @@ def cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        code = _emit(_json_text(payload), args.out)
+        code = _emit(_json_chunks(payload), args.out)
     else:
         code = _emit(format_results(results), args.out)
     if code != EXIT_OK:

@@ -1,10 +1,15 @@
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Child interpreters (``python -m orthoweyl``) import the package from this
+# checkout too, as the tests themselves do through pytest's ``pythonpath``.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 from orthoweyl.eisenstein import KostantRecord
 from orthoweyl.errors import (

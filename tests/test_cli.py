@@ -1,11 +1,15 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
+from orthoweyl import cli
 from orthoweyl.cli import main, output_schema
 
 SCHEMA = output_schema()
@@ -105,6 +109,24 @@ def test_out_writes_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph WP {")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--n", "9", "--format", "json"),
+        ("hasse", "--n", "9", "--parabolic", "P2", "--covers", "--format", "json"),
+        ("verify", "--n-max", "6", "--format", "json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_equals_stdout(capsys, tmp_path, argv):
+    target = tmp_path / "out.json"
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 def test_kostant_symbolic_table(capsys):
@@ -301,20 +323,24 @@ def test_lambda_echoed_in_normal_form(capsys):
     assert report["parabolics"][1]["records"] == payload["rows"]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("buffered", [True, False])
-def test_failed_stdout_write_exits_io_error(buffered):
+def _environment(buffered: bool) -> dict:
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_failed_stdout_write_exits_io_error(buffered):
     with open("/dev/full", "w") as full:
         result = subprocess.run(
             [sys.executable, "-m", "orthoweyl", "cosets", "--n", "5", "--parabolic", "P1"],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=_environment(buffered),
         )
     assert result.returncode == 3
     assert result.stderr.startswith("error: cannot write to stdout")
@@ -337,3 +363,93 @@ def test_closed_stdout_exits_io_error(argv):
     )
     assert result.returncode == 3
     assert result.stderr == "error: cannot write to stdout: stdout is closed\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("report", "--n", "17", "--format", "json"), ("cosets", "--n", "41", "--parabolic", "P2")],
+    ids=lambda argv: argv[0],
+)
+def test_reader_that_closes_early_exits_io_error(argv, buffered):
+    # Both outputs exceed a pipe's capacity, so the writer is still writing
+    # when the reader leaves; unbuffered, that write comes back short.
+    with subprocess.Popen(
+        [sys.executable, "-m", "orthoweyl", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_environment(buffered),
+    ) as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+        code = proc.wait(timeout=120)
+    assert code == 3
+    assert err.startswith("error: cannot write to stdout") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class _CountingFile(io.RawIOBase):
+    """A raw file that takes at most ``limit`` bytes per write and keeps only their digest."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.digest = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        taken = data[: self.limit]
+        self.digest.update(taken)
+        return len(taken)
+
+
+#: The generated stream: 100 000 chunks of 100 characters, 10 MB in all.
+_CHUNKS = 100_000
+
+
+def _generated_stream():
+    return (f"{i:>98}λ\n" for i in range(_CHUNKS))
+
+
+def _emit_peak(out) -> tuple[int, int]:
+    tracemalloc.start()
+    try:
+        code = cli._emit(_generated_stream(), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def _expected_digest() -> str:
+    digest = hashlib.sha256()
+    for chunk in _generated_stream():
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_emit_to_out_holds_a_bounded_batch(tmp_path):
+    target = tmp_path / "stream.txt"
+    code, peak = _emit_peak(str(target))
+    assert code == 0
+    assert peak < 256 * 1024
+    assert target.stat().st_size >= 8_000_000
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _expected_digest()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_emit_to_stdout_holds_a_bounded_batch(monkeypatch, buffered):
+    # The file takes at most 1000 bytes per write, so unbuffered every batch
+    # needs several writes, as on a pipe that a reader drains slowly.
+    raw = _CountingFile(1000)
+    if buffered:
+        stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+    else:
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code, peak = _emit_peak(None)
+    assert code == 0
+    assert peak < 256 * 1024
+    assert raw.digest.hexdigest() == _expected_digest()

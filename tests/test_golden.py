@@ -20,7 +20,9 @@ without the oracle, as produced before the oracle group moved to a
 byte-encoded signed-permutation model and ``recombination`` to one B·R
 product per parabolic; and of ``report --n 41``
 (text and json), as produced before every record came from one integer
-action-matrix reader.  Its ``demos`` entry is checked in ``test_demos.py``.
+action-matrix reader; and of ``report --n 61`` (text and json), as produced
+before every JSON document was streamed to its destination in bounded
+batches.  Its ``demos`` entry is checked in ``test_demos.py``.
 """
 
 import hashlib
