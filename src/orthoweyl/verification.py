@@ -1,40 +1,29 @@
 """Self-verification harness: oracle equivalence and structural properties.
 
-Runs, for every n in 5..n_max, the checks behind the package's claims:
-exact coset counts, reduced words, the back-or-forth alternative over the
-full group, equality of the orbit walk with the brute-force minimal-rep
-oracle, palindromic length counts, restriction recombination, antipodal
-antisymmetry of the evaluation coefficients, sign rules at random regular
-weights, regularity propagation, and the degree-support tiling.
+For every n in 5..n_max, ``run_verification`` runs the rows of the table
+``_CHECKS`` in order, the checks behind the package's claims: exact coset counts,
+palindromic length counts, reduced words, equality of the orbit walk with the
+brute-force minimal-rep oracle, the group order, the back-or-forth alternative
+over the full group, restriction recombination on the records' own split
+(``eisenstein._levi_split``), antipodal antisymmetry of the evaluation
+coefficients, sign rules at random regular weights, regularity propagation, one
+coefficient per length, the degree-support tiling and the Bruhat covers.  Each
+row is a check of the per-n ``_Context``, which holds g, the walk diagrams and
+the rng and builds each shared field once, at its first use.  A check returns a
+failure detail, "" for PASS, a ``_Skip`` reason, or None for no row (``covers``
+above n = 6); an ``OrthoweylError`` it raises is its row's FAIL, with the
+error's text as the detail.
 
-The ``reduced-words``, ``oracle``, ``group-order`` and ``back-or-forth`` rows
-treat W(B_k) and W(D_k) as signed permutations of ε_1..ε_k (Björner–Brenti,
-ch. 8), each u encoded as the 2k bytes f(u(1)), …, f(u(k)), f(u(-1)), …,
-f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the signed indices as
-1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)`` and a root's sign
-is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] < u[pos(-τb)], and
-u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte of u(x).
-``reduced-words`` counts the positive roots that w^{-1} sends negative, l(w),
-for every walk word of w; it must equal the word's and the stored length.  The
-group is streamed as the breadth-first layers under u ↦ s_j∘u, layer l the
-elements of length l.  u and s_j∘u lie in adjacent layers, so repeats are found
-among layers l-1, l and l+1 alone and memory follows the largest layer, not |W|.
-``group-order`` adds up the layer sizes.  ``oracle`` keeps each u with
-u(α_j) > 0 for every uncrossed j, layer by layer, and compares that set with
-the walk words' w^{-1}.  ``back-or-forth`` checks l(u∘s_j) = l(u) ∓ 1 as
-u(α_j) is negative or positive, u∘s_j a fixed gather of u's bytes, on the map
-u ↦ l(u) that the same layers fill.  It stays right-handed because the layers
-grow from the left, so the lengths it compares were not assigned by the step
-it checks.  ``recombination`` checks (B·R)·W = W in integers, for restrict's
-action R, the basis B and 100 random symbolic weights W per parabolic; W's
-entries are ``randint(-6, 6) * (12 // randint(1, 4))``, read by ``getrandbits``
-from the words ``randint`` would read, so the stream is unchanged.
+The group rows treat W(B_k) and W(D_k) as signed permutations of ε_1..ε_k
+(Björner–Brenti, ch. 8), each u encoded as the 2k bytes f(u(1)), …, f(u(k)),
+f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the signed
+indices as 1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)`` and a
+root's sign is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] < u[pos(-τb)],
+and u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte of u(x).
 
-Factorial-size checks (full-group enumeration) run only while the rank is
-small; above the guard they are reported as skipped, never silently dropped.
-``reduced-words`` and the record checks (``sign-rule``, ``mu-regular``,
-``a2-by-length``) run at every n.  Randomized checks draw from a fixed seed so
-runs are reproducible.
+Rows above their rank guard are SKIP, never silently dropped; ``reduced-words``
+and the record rows (``sign-rule``, ``mu-regular``, ``a2-by-length``) run at
+every n, and the random rows draw from a fixed seed per n.
 """
 
 from __future__ import annotations
@@ -43,11 +32,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
-from .eisenstein import degree_support, evaluation_coefficient, parabolic_report
+from .eisenstein import _levi_split, degree_support, evaluation_coefficient, parabolic_report
 from .errors import OrthoweylError
 from .hasse import build_hasse, length_histogram, with_bruhat_covers
 from .orthogroup import (
@@ -58,7 +48,6 @@ from .orthogroup import (
     group_spec,
     nilradical_dim,
     parabolic_choice,
-    restrict,
     restriction_basis,
 )
 from .rootsystem import (
@@ -86,11 +75,6 @@ class CheckResult:
     n: int
     status: str  # PASS / FAIL / SKIP
     detail: str = ""
-
-
-def _verdict(check: str, n: int, failure: str) -> CheckResult:
-    """PASS when ``failure`` is empty, else FAIL with it as the detail."""
-    return CheckResult(check, n, "FAIL" if failure else "PASS", failure)
 
 
 def expected_coset_count(g: GroupSpec, p: MaximalParabolic) -> int:
@@ -130,30 +114,27 @@ def _trial_values(rng: random.Random) -> Iterator[int]:
 
 
 def _recombination(g: GroupSpec, rng: random.Random) -> str:
-    """The first trial with (B·R)·W ≠ W, or "".  R (restrict at the symbolic weight,
-    constants last) and B are made integer (doubled) and multiplied once; W's rows are
-    random forms' coefficients ``randint(-6, 6) / randint(1, 4)`` times 12, and (0, …, 0, 12).
+    """The first trial with (B·R)·W ≠ W, or "".  R is the records' split (``_levi_split``) at
+    the symbolic weight, doubled: the 𝔞-row -a_weights and 2·e_r per 𝔟-row r.  B is made
+    integer (doubled) and B·R formed once; W's rows are random forms' coefficients
+    ``randint(-6, 6) / randint(1, 4)`` times 12, with their constants last, which R ignores.
     Row i of (B·R)·W sums c·W[m] over the nonzero entries c = (B·R)[i][m] alone."""
     k, values = g.k, _trial_values(rng)
-    zero, last = [0] * (k + 1), [0] * k + [12]
     for p in PARABOLICS:
-        r = restrict(g, p, Weight.symbolic(k))
-        forms = (r.a_coefficient, *r.b_coords)
-        rmat, rs = _integer_rows([[*map(f.coefficient, range(1, k + 1)), f.constant] for f in forms])
+        _, b_rows, a_weights, _ = _levi_split(g, p)
+        rmat = [[-x for x in a_weights], *([2 * (i == r) for i in range(k)] for r in b_rows)]
         head, tail = restriction_basis(g, p)
         bmat, bs = _integer_rows(list(zip(*(b.constant_tuple() for b in (head, *tail)))))
         br = [[sum(map(mul, row, col)) for col in zip(*rmat)] for row in bmat]
         nonzero = [[(m, c) for m, c in enumerate(row) if c] for row in br]
         for trial in range(100):
             w = [list(islice(values, k + 1)) for _ in range(k)]
-            rows, back = [*w, last], []
-            for terms in nonzero:
-                acc = zero
+            for terms, row in zip(nonzero, w):
+                acc = [0] * (k + 1)
                 for m, c in terms:
-                    acc = list(map(add, acc, [c * x for x in rows[m]]))
-                back.append(acc)
-            if back != [[rs * bs * x for x in row] for row in w]:
-                return f"{p.name}: trial {trial}"
+                    acc = list(map(add, acc, [c * x for x in w[m]]))
+                if acc != [2 * bs * x for x in row]:
+                    return f"{p.name}: trial {trial}"
     return ""
 
 
@@ -211,7 +192,8 @@ def right_gathers(datum: RootDatum) -> list[Callable[[bytes], tuple[int, ...]]]:
 def group_layers(ident: bytes, tables: tuple[bytes, ...]) -> Iterator[list[bytes]]:
     """The breadth-first layers of the group the ``tables`` generate, layer l the
     elements of length l in order of discovery.  For involutions u and s∘u lie in
-    adjacent layers, so duplicates are found among layers l-1, l and l+1 alone."""
+    adjacent layers, so duplicates are found among layers l-1, l and l+1 alone, and
+    memory follows the largest layer, not the group."""
     seen, before, layer = {ident}, [], [ident]
     while layer:
         yield layer
@@ -258,188 +240,221 @@ def inversion_counter(datum: RootDatum) -> Callable[[bytes], int]:
     return lambda u: sum(map(gt, first(u), second(u)))
 
 
-def _reduced_words(g: GroupSpec, diagrams: dict) -> str:
-    """The first walk node whose word length, stored length and length of w differ,
-    or "".  The length of w is counted on the encoded w^{-1}."""
-    ident, tables = left_action(g.datum)
-    count = inversion_counter(g.datum)
-    for p in PARABOLICS:
-        for node in diagrams[p].nodes:
+# --- the per-n context, its rows, and the table ----------------------------
+
+
+class _Skip(str):
+    """A check's reason for not running at this n: its row is SKIP, not FAIL."""
+
+
+def _verdict(check: str, n: int, outcome: str) -> CheckResult:
+    status = "SKIP" if isinstance(outcome, _Skip) else "FAIL" if outcome else "PASS"
+    return CheckResult(check, n, status, str(outcome))
+
+
+def _caught(check: Callable[..., str | None], *args) -> str | None:
+    """``check(*args)``, or the text of the ``OrthoweylError`` it raises: a FAIL, not a crash."""
+    try:
+        return check(*args)
+    except OrthoweylError as err:
+        return str(err)
+
+
+Check = Callable[["_Context"], "str | None"]
+
+
+def _each_parabolic(check: Callable[["_Context", MaximalParabolic], str]) -> Check:
+    """The row of ``check``: its first failing parabolic's detail, prefixed ``P1: ``, or ""."""
+
+    def row(c: _Context) -> str:
+        for p in PARABOLICS:
+            detail = _caught(check, c, p)
+            if detail:
+                return f"{p.name}: {detail}"
+        return ""
+
+    return row
+
+
+def _skipped_above(bound: int, check: Check) -> Check:
+    return lambda c: _Skip(f"rank {c.g.k} > {bound}") if c.g.k > bound else check(c)
+
+
+class _Context:
+    """One n: g, the walk diagrams, the rng, the shared fields (each built at its first use and
+    then kept) and the rows, as methods."""
+
+    def __init__(self, g: GroupSpec, rng: random.Random):
+        self.g, self.rng = g, rng
+        self.diagrams = _diagrams(g)
+
+    @cached_property
+    def histograms(self) -> dict[MaximalParabolic, dict[int, int]]:
+        return {p: length_histogram(self.diagrams[p]) for p in PARABOLICS}
+
+    @cached_property
+    def closure(self) -> tuple[dict[MaximalParabolic, set[bytes]], int, dict[bytes, int]]:
+        """From one stream of the layers: per parabolic every u with u(α_j) > 0 for the uncrossed
+        j, the number of elements, and the map u ↦ l(u), kept only for back-or-forth's ranks."""
+        g = self.g
+        oracle = {p: set() for p in PARABOLICS}
+        lengths: dict[bytes, int] = {}
+        size, want = 0, expected_group_order(g)
+        for l, layer in enumerate(group_layers(*left_action(g.datum))):
+            for p in PARABOLICS:
+                oracle[p] |= minimal_inverses(g.datum, layer, crossed_simple_roots(g, p))
+            if g.k <= BACK_OR_FORTH_MAX_RANK:
+                lengths.update(dict.fromkeys(layer, l))
+            size += len(layer)
+            if size > want:  # more than W: tables that are not involutions repeat
+                break
+        return oracle, size, lengths
+
+    @cached_property
+    def lam(self) -> Weight:
+        """The random regular weight of the record rows, drawn once, after recombination's."""
+        k, randint = self.g.k, self.rng.randint
+        return Weight.from_constants([Fraction(randint(1, 9), randint(1, 3)) for _ in range(k)], k)
+
+    @cached_property
+    def records(self) -> tuple[str, str, str]:
+        """The first failures of sign-rule and mu-regular at ``lam`` (strict lengths only), and of
+        a2-by-length: one normalized P2 coefficient per length at the all-ones weight."""
+        g, detail, detail2 = self.g, "", ""
+        for p in PARABOLICS:
+            dim = nilradical_dim(g, p)
+            for rec in parabolic_report(g, p, self.lam, self.diagrams[p]).records:
+                a, twice = rec.a_normalized.constant_value(), 2 * rec.length
+                if not detail and (twice < dim and not a < 0 or twice > dim and not a > 0):
+                    detail = f"{p.name} l={rec.length}: a={a}"
+                if not detail2 and any(f.constant_value() <= 0 for f in rec.mu_restricted):
+                    detail2 = f"{p.name} word {rec.word}"
+        p2, ones = MaximalParabolic.P2, Weight.from_constants([1] * g.k, g.k)
+        per_length: dict[int, set[Fraction]] = {}
+        for rec in parabolic_report(g, p2, ones, self.diagrams[p2]).records:
+            per_length.setdefault(rec.length, set()).add(rec.a_normalized.constant_value())
+        bad = sorted(l for l, vals in per_length.items() if len(vals) > 1)
+        return detail, detail2, f"lengths {bad}" if bad else ""
+
+    def counts(self, p: MaximalParabolic) -> str:
+        got, want = len(self.diagrams[p].nodes), expected_coset_count(self.g, p)
+        return f"{got} != {want}" if got != want else ""
+
+    def histogram(self, p: MaximalParabolic) -> str:
+        """Palindromic, with unique extremes, max = dim N_P, and one count per node."""
+        hist = self.histograms[p]
+        top = max(hist)
+        if top != nilradical_dim(self.g, p):
+            return f"max length {top} != dim N"
+        if any(hist[l] != hist.get(top - l) for l in hist):
+            return "N(l) not palindromic"
+        if hist[0] != 1 or hist[top] != 1:
+            return "extremes not unique"
+        if sum(hist.values()) != len(self.diagrams[p].nodes):
+            return "histogram total mismatch"
+        return ""
+
+    def reduced_words(self, p: MaximalParabolic) -> str:
+        """The first walk node whose word length, stored length and length of w differ.
+        The length of w is counted on the encoded w^{-1}."""
+        ident, tables = left_action(self.g.datum)
+        count = inversion_counter(self.g.datum)
+        for node in self.diagrams[p].nodes:
             length = count(encoded_inverse(ident, tables, node.word))
             if not length == len(node.word) == node.length:
-                return f"{p.name}: word {node.word}"
-    return ""
+                return f"word {node.word}"
+        return ""
 
+    def oracle(self, p: MaximalParabolic) -> str:
+        """The walk's w^{-1} against every u in W with u(α_j) > 0 for the uncrossed j."""
+        ident, tables = left_action(self.g.datum)
+        algo = {encoded_inverse(ident, tables, nd.word) for nd in self.diagrams[p].nodes}
+        oracle = self.closure[0][p]
+        if algo != oracle:
+            diff = len(algo ^ oracle)
+            return f"walk {len(algo)} vs oracle {len(oracle)}; symmetric difference {diff}"
+        return ""
 
-def _record_checks(g: GroupSpec, diagrams: dict, lam: Weight) -> tuple[str, str, str]:
-    """The first failures of sign-rule and mu-regular at ``lam`` (strict lengths only), and of
-    a2-by-length: one normalized P2 coefficient per length at the all-ones weight."""
-    detail = detail2 = ""
-    for p in PARABOLICS:
+    def group_order(self) -> str:
+        size, want = self.closure[1], expected_group_order(self.g)
+        return "" if size == want else f"{size} != {want}"
+
+    def back_or_forth(self) -> str:
+        """Right-handed, on the closure's lengths: l(u∘s_j) = l(u) - 1 if u(α_j) < 0, else l(u) + 1,
+        with u∘s_j a fixed gather of u's bytes.  The layers grow from the left, so the lengths it
+        compares were not assigned by the step it checks."""
+        datum, lengths = self.g.datum, self.closure[2]
+        alphas = [simple_root_vector(datum, j) for j in range(1, datum.rank + 1)]
+        steps = list(zip(right_gathers(datum), (sign_positions(datum, a) for a in alphas)))
+        for u, l in lengths.items():
+            for j, (t, (a, b)) in enumerate(steps, start=1):
+                if lengths.get(bytes(t(u))) != (l + 1 if u[a] < u[b] else l - 1):
+                    return f"w={decode(u)}, j={j}"
+        return ""
+
+    def antipodal(self) -> str:
+        """The first parabolic whose longest word's normalized a is not minus the identity's."""
+        g = self.g
+        for p in PARABOLICS:
+            w_max = max(self.diagrams[p].nodes, key=lambda nd: nd.length)
+            if evaluation_coefficient(g, p, w_max.word) != -evaluation_coefficient(g, p, ()):
+                return p.name
+        return ""
+
+    def support(self, p: MaximalParabolic) -> str:
+        """Degree support tiling and holomorphy consistency."""
+        g, support = self.g, degree_support(self.g, p)
+        degrees = sorted({e.degree for e in support.generation})
+        if degrees != list(range(support.q_min, support.q_max + 1)):
+            return "tiling gap"
+        if any(self.histograms[p].get(e.length, 0) < 1 for e in support.generation):
+            return "generation length missing in W^P"
+        if support.q_min != g.n:
+            return "q_min != n"
         dim = nilradical_dim(g, p)
-        for rec in parabolic_report(g, p, lam, diagrams[p]).records:
-            a, twice = rec.a_normalized.constant_value(), 2 * rec.length
-            if not detail and (twice < dim and not a < 0 or twice > dim and not a > 0):
-                detail = f"{p.name} l={rec.length}: a={a}"
-            if not detail2 and any(f.constant_value() <= 0 for f in rec.mu_restricted):
-                detail2 = f"{p.name} word {rec.word}"
-    p2 = MaximalParabolic.P2
-    per_length: dict[int, set[Fraction]] = {}
-    for rec in parabolic_report(g, p2, Weight.from_constants([1] * g.k, g.k), diagrams[p2]).records:
-        per_length.setdefault(rec.length, set()).add(rec.a_normalized.constant_value())
-    bad = sorted(l for l, vals in per_length.items() if len(vals) > 1)
-    return detail, detail2, f"lengths {bad}" if bad else ""
+        lengths = [nd.length for nd in self.diagrams[p].nodes if 2 * nd.length < dim]
+        gap = next((l for d in cuspidal_degrees(g, p) for l in lengths if d + l >= g.n), None)
+        return "" if gap is None else f"holomorphy gap at l={gap}"
+
+    def cover_edges(self, p: MaximalParabolic) -> str:
+        """The covers contain the walk edges (or with_bruhat_covers raises), strictly at n = 6."""
+        completed = with_bruhat_covers(self.diagrams[p])
+        walk = {(a, b) for a, b, _ in completed.algo_edges}
+        if self.g.n == 6 and p is MaximalParabolic.P2 and not set(completed.cover_edges) > walk:
+            return "expected strictly more covers than walk edges"
+        return ""
+
+    def covers(self) -> str | None:
+        return _each_parabolic(_Context.cover_edges)(self) if self.g.n <= 6 else None
+
+
+#: The rows, in output order.  ``recombination`` comes before the record rows, whose λ is
+#: drawn from the same stream after its trials.
+_CHECKS: tuple[tuple[str, Check], ...] = (
+    ("counts", _each_parabolic(_Context.counts)),
+    ("histogram", _each_parabolic(_Context.histogram)),
+    ("reduced-words", _each_parabolic(_Context.reduced_words)),
+    ("oracle", _skipped_above(ORACLE_MAX_RANK, _each_parabolic(_Context.oracle))),
+    ("group-order", _skipped_above(ORACLE_MAX_RANK, _Context.group_order)),
+    ("back-or-forth", _skipped_above(BACK_OR_FORTH_MAX_RANK, _Context.back_or_forth)),
+    ("recombination", lambda c: _recombination(c.g, c.rng)),
+    ("antipodal", _Context.antipodal),
+    ("sign-rule", lambda c: c.records[0]),
+    ("mu-regular", lambda c: c.records[1]),
+    ("a2-by-length", lambda c: c.records[2]),
+    ("support", _each_parabolic(_Context.support)),
+    ("covers", _Context.covers),
+)
 
 
 def run_verification(n_max: int, rng_seed: int = 7) -> list[CheckResult]:
     results: list[CheckResult] = []
-    out = results.append
-
     for n in range(5, n_max + 1):
-        g = group_spec(n)
-        k = g.k
-        diagrams = _diagrams(g)
-        rng = random.Random(rng_seed * 1000 + n)
-
-        # 1. coset counts
-        detail = ""
-        for p in PARABOLICS:
-            got, want = len(diagrams[p].nodes), expected_coset_count(g, p)
-            if got != want:
-                detail = f"{p.name}: {got} != {want}"
-                break
-        out(_verdict("counts", n, detail))
-
-        # 2. histogram structure: palindromic, unique extremes, max = dim N_P
-        detail = ""
-        for p in PARABOLICS:
-            hist = length_histogram(diagrams[p])
-            top = max(hist)
-            if top != nilradical_dim(g, p):
-                detail = f"{p.name}: max length {top} != dim N"
-                break
-            if any(hist[l] != hist.get(top - l) for l in hist):
-                detail = f"{p.name}: N(l) not palindromic"
-                break
-            if hist[0] != 1 or hist[top] != 1:
-                detail = f"{p.name}: extremes not unique"
-                break
-            if sum(hist.values()) != len(diagrams[p].nodes):
-                detail = f"{p.name}: histogram total mismatch"
-                break
-        out(_verdict("histogram", n, detail))
-
-        # 3. reduced words: each word's length is the inversion count of its element
-        out(_verdict("reduced-words", n, _reduced_words(g, diagrams)))
-
-        # 4. oracle equivalence (factorial; guarded): the walk's w^{-1} against
-        # every u in W with u(α_j) > 0 for the uncrossed j, as signed permutations
-        if k > ORACLE_MAX_RANK:
-            out(CheckResult("oracle", n, "SKIP", f"rank {k} > {ORACLE_MAX_RANK}"))
-            out(CheckResult("group-order", n, "SKIP", f"rank {k} > {ORACLE_MAX_RANK}"))
-        else:
-            ident, tables = left_action(g.datum)
-            oracle = {p: set() for p in PARABOLICS}
-            group: dict[bytes, int] = {}  # the closure, kept only for back-or-forth
-            size, want = 0, expected_group_order(g)
-            for l, layer in enumerate(group_layers(ident, tables)):
-                for p in PARABOLICS:
-                    oracle[p] |= minimal_inverses(g.datum, layer, crossed_simple_roots(g, p))
-                if k <= BACK_OR_FORTH_MAX_RANK:
-                    group.update(dict.fromkeys(layer, l))
-                size += len(layer)
-                if size > want:  # more than W: tables that are not involutions repeat
-                    break
-            detail = ""
-            for p in PARABOLICS:
-                algo = {encoded_inverse(ident, tables, nd.word) for nd in diagrams[p].nodes}
-                if algo != oracle[p]:
-                    detail = (
-                        f"{p.name}: walk {len(algo)} vs oracle {len(oracle[p])}; "
-                        f"symmetric difference {len(algo ^ oracle[p])}"
-                    )
-                    break
-            out(_verdict("oracle", n, detail))
-            out(_verdict("group-order", n, "" if size == want else f"{size} != {want}"))
-
-        # 5. back-or-forth on the lengths check 4's layers fill (harder guard), right-handed:
-        # l(u∘s_j) = l(u) - 1 if u(α_j) < 0, else l(u) + 1.
-        if k > BACK_OR_FORTH_MAX_RANK:
-            out(CheckResult("back-or-forth", n, "SKIP", f"rank {k} > {BACK_OR_FORTH_MAX_RANK}"))
-        else:
-            detail = ""
-            alphas = [simple_root_vector(g.datum, j) for j in range(1, k + 1)]
-            steps = list(zip(right_gathers(g.datum), (sign_positions(g.datum, a) for a in alphas)))
-            for u, l in group.items():
-                for j, (t, (a, b)) in enumerate(steps, start=1):
-                    if group.get(bytes(t(u))) != (l + 1 if u[a] < u[b] else l - 1):
-                        detail = f"w={decode(u)}, j={j}"
-                        break
-                if detail:
-                    break
-            out(_verdict("back-or-forth", n, detail))
-
-        # 6. restriction recombination on random symbolic weights
-        out(_verdict("recombination", n, _recombination(g, rng)))
-
-        # 7. antipodal antisymmetry of the normalized evaluation coefficient
-        detail = ""
-        for p in PARABOLICS:
-            nodes = diagrams[p].nodes
-            w_max = max(nodes, key=lambda nd: nd.length)
-            if evaluation_coefficient(g, p, w_max.word) != -evaluation_coefficient(g, p, ()):
-                detail = p.name
-                break
-        out(_verdict("antipodal", n, detail))
-
-        # 8. sign rule at a random regular weight (strict lengths only)
-        assignment = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(k)]
-        lam = Weight.from_constants(assignment, k)
-        try:
-            details = _record_checks(g, diagrams, lam)
-        except OrthoweylError as err:  # a node the records disagree with
-            details = (str(err),) * 3
-        for check, detail in zip(("sign-rule", "mu-regular", "a2-by-length"), details):
-            out(_verdict(check, n, detail))
-
-        # 9. degree support tiling and holomorphy consistency
-        detail = ""
-        for p in PARABOLICS:
-            support = degree_support(g, p)
-            degrees = sorted({e.degree for e in support.generation})
-            if degrees != list(range(support.q_min, support.q_max + 1)):
-                detail = f"{p.name}: tiling gap"
-                break
-            hist = length_histogram(diagrams[p])
-            if any(hist.get(e.length, 0) < 1 for e in support.generation):
-                detail = f"{p.name}: generation length missing in W^P"
-                break
-            if support.q_min != g.n:
-                detail = f"{p.name}: q_min != n"
-                break
-            dim = nilradical_dim(g, p)
-            lengths = [nd.length for nd in diagrams[p].nodes if 2 * nd.length < dim]
-            gap = next((l for d in cuspidal_degrees(g, p) for l in lengths if d + l >= g.n), None)
-            if gap is not None:
-                detail = f"{p.name}: holomorphy gap at l={gap}"
-                break
-        out(_verdict("support", n, detail))
-
-        # 10. covers contain the walk edges; strictly more for n = 6
-        if n in (5, 6):
-            detail = ""
-            for p in PARABOLICS:
-                try:  # refuses a walk edge that is not a cover
-                    completed = with_bruhat_covers(diagrams[p])
-                except OrthoweylError as err:
-                    detail = f"{p.name}: {err}"
-                    break
-                walk = {(a, b) for a, b, _ in completed.algo_edges}
-                if n == 6 and p is MaximalParabolic.P2 and not set(completed.cover_edges) > walk:
-                    detail = "P2: expected strictly more covers than walk edges"
-                    break
-            out(_verdict("covers", n, detail))
-
+        context = _Context(group_spec(n), random.Random(rng_seed * 1000 + n))
+        for name, check in _CHECKS:
+            outcome = _caught(check, context)
+            if outcome is not None:
+                results.append(_verdict(name, n, outcome))
     return results
 
 

@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
+import orthoweyl.eisenstein as eisenstein
 import orthoweyl.orthogroup as orthogroup
 import orthoweyl.verification as verification
 from conftest import diagram
@@ -31,7 +32,7 @@ from orthoweyl.verification import (
     run_verification,
     sign_positions,
 )
-from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec
+from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec, restrict
 from orthoweyl.rootsystem import (
     DynkinKind,
     _eps_to_weight_vector,
@@ -188,6 +189,15 @@ def _decoded_closure(datum):
     return {decode(u): l for u, l in group_closure(*left_action(datum)).items()}
 
 
+def _context(n):
+    return verification._Context(group_spec(n), random.Random(7 * 1000 + n))
+
+
+def _row(name):
+    """The check of the row ``name`` in the table."""
+    return dict(verification._CHECKS)[name]
+
+
 def test_mutation_is_caught(monkeypatch):
     import orthoweyl.verification as verification
 
@@ -208,19 +218,17 @@ def test_mutation_is_caught(monkeypatch):
     ids=["not-reduced", "length-off-by-one"],
 )
 def test_reduced_words_failure_is_reported(change):
-    g = group_spec(5)
-    diagrams = verification._diagrams(g)
-    h = diagrams[MaximalParabolic.P2]
+    context = _context(5)
+    h = context.diagrams[MaximalParabolic.P2]
     nodes = list(h.nodes)
     nodes[3] = change(nodes[3])
-    diagrams[MaximalParabolic.P2] = replace(h, nodes=tuple(nodes))
-    assert verification._reduced_words(g, diagrams) == f"P2: word {nodes[3].word}"
+    context.diagrams[MaximalParabolic.P2] = replace(h, nodes=tuple(nodes))
+    assert _row("reduced-words")(context) == f"P2: word {nodes[3].word}"
 
 
 @pytest.mark.parametrize("n", range(38, 42))
 def test_reduced_words_run_at_large_n(n):
-    g = group_spec(n)
-    assert verification._reduced_words(g, verification._diagrams(g)) == ""
+    assert _row("reduced-words")(_context(n)) == ""
 
 
 @pytest.mark.parametrize("n", range(5, 22))
@@ -563,7 +571,7 @@ def _reference_recombination(g, rng):
         head, tail = verification.restriction_basis(g, p)
         for trial in range(100):
             w = Weight(tuple(_random_form(rng, g.k) for _ in range(g.k)))
-            r = verification.restrict(g, p, w)
+            r = restrict(g, p, w)
             if _combine([r.a_coefficient, *r.b_coords], [head, *tail], g.k) != w:
                 return f"{p.name}: trial {trial}"
     return ""
@@ -577,7 +585,7 @@ def test_recombination_equals_linear_form_reference(n):
     assert fast.getstate() == slow.getstate()
 
 
-def _basis_with_minus_one(target):
+def _basis_with_minus_one(monkeypatch, target):
     original = verification.restriction_basis
 
     def tampered(g, p):
@@ -595,43 +603,72 @@ def _basis_with_minus_one(target):
         values[i] = -1
         return head, tail[:b] + (Weight.from_constants(values),) + tail[b + 1:]
 
-    return verification, "restriction_basis", tampered
+    monkeypatch.setattr(verification, "restriction_basis", tampered)
 
 
-def _halves_missing_one(target):
+@pytest.fixture
+def levi_split_cache():
+    """Empties ``_levi_split``'s cache before and after a test that changes what it reads."""
+    eisenstein._levi_split.cache_clear()
+    yield
+    eisenstein._levi_split.cache_clear()
+
+
+def _halves_missing_one(monkeypatch, target):
+    """``half_positions`` loses its first entry for ``target``, both in ``restrict`` (the
+    reference) and in ``_levi_split`` (the check)."""
     original = orthogroup.half_positions
 
     def tampered(g, p):
         return original(g, p)[1:] if p is target else original(g, p)
 
-    return orthogroup, "half_positions", tampered
-
-
-def _restrict_plus_one(target):
-    original = verification.restrict
-
-    def tampered(g, p, w):
-        r = original(g, p, w)
-        if p is not target:
-            return r
-        one = LinearForm.const(1, r.a_coefficient.nvars)
-        return replace(r, a_coefficient=r.a_coefficient + one)
-
-    return verification, "restrict", tampered
+    monkeypatch.setattr(orthogroup, "half_positions", tampered)
+    monkeypatch.setattr(eisenstein, "half_positions", tampered)
+    eisenstein._levi_split.cache_clear()
 
 
 @pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
-@pytest.mark.parametrize(
-    "mutation", [_basis_with_minus_one, _halves_missing_one, _restrict_plus_one]
-)
-def test_recombination_mutation_fails_as_the_reference(monkeypatch, mutation, p):
-    monkeypatch.setattr(*mutation(p))
+@pytest.mark.parametrize("mutation", [_basis_with_minus_one, _halves_missing_one])
+def test_recombination_mutation_fails_as_the_reference(monkeypatch, levi_split_cache, mutation, p):
+    mutation(monkeypatch, p)
     n = 7
-    row = next(r for r in run_verification(n) if r.check == "recombination")
+    row = next(r for r in run_verification(n) if r.check == "recombination" and r.n == n)
     want = _reference_recombination(group_spec(n), random.Random(7 * 1000 + n))
     assert want.startswith(f"{p.name}: trial ")
     assert row.status == "FAIL"
     assert row.detail == want
+
+
+def _a_weight_plus_one(monkeypatch, target):
+    """The split that recombination reads gains λ_1 in its 𝔞-coefficient for ``target``."""
+    original = verification._levi_split
+
+    def tampered(g, p):
+        crossed, b_rows, a_weights, rho_a = original(g, p)
+        if p is target:
+            a_weights = (a_weights[0] - 2,) + a_weights[1:]
+        return crossed, b_rows, a_weights, rho_a
+
+    monkeypatch.setattr(verification, "_levi_split", tampered)
+
+
+@pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
+def test_levi_split_mutation_fails_recombination(monkeypatch, p):
+    _a_weight_plus_one(monkeypatch, p)
+    rows = [(r.n, r.status, r.detail) for r in run_verification(7) if r.check == "recombination"]
+    assert rows == [(n, "FAIL", f"{p.name}: trial 0") for n in (5, 6, 7)]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_recombination_checks_the_records_split(monkeypatch, levi_split_cache, n):
+    # _levi_split halves only the first of the half_positions; restrict is unchanged
+    original = eisenstein.half_positions
+    monkeypatch.setattr(eisenstein, "half_positions", lambda g, p: original(g, p)[:1])
+    eisenstein._levi_split.cache_clear()
+    g = group_spec(n)
+    first = "P2" if g.is_odd else "P1"  # for odd n, P1 halves one coordinate only
+    assert verification._recombination(g, random.Random(n)) == f"{first}: trial 0"
+    assert _reference_recombination(g, random.Random(n)) == ""
 
 
 def _times(a, b):
@@ -644,7 +681,7 @@ def _randint_recombination(g, rng):
     for the stream that ``_trial_values`` reads."""
     k, randint = g.k, rng.randint
     for p in PARABOLICS:
-        r = verification.restrict(g, p, Weight.symbolic(k))
+        r = restrict(g, p, Weight.symbolic(k))
         forms = (r.a_coefficient, *r.b_coords)
         rows = [[*map(f.coefficient, range(1, k + 1)), f.constant] for f in forms]
         rmat, rs = verification._integer_rows(rows)
@@ -679,7 +716,7 @@ def test_recombination_equals_randint_reference(n):
 @pytest.mark.parametrize("n", [5, 6, 7, 10])
 @pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
 def test_recombination_failure_leaves_the_randint_state(monkeypatch, p, n):
-    monkeypatch.setattr(*_basis_with_minus_one(p))
+    _basis_with_minus_one(monkeypatch, p)
     fast, slow = random.Random(n), random.Random(n)
     assert verification._recombination(group_spec(n), fast) == f"{p.name}: trial 0"
     assert _randint_recombination(group_spec(n), slow) == f"{p.name}: trial 0"
@@ -690,7 +727,7 @@ def test_recombination_failure_leaves_the_randint_state(monkeypatch, p, n):
 @pytest.mark.parametrize("p", PARABOLICS, ids=lambda p: p.name)
 def test_recombination_fails_at_trial_zero_when_b_changes(monkeypatch, p, n):
     # one entry of B changes, so B·R is no longer a multiple of the identity
-    monkeypatch.setattr(*_basis_with_minus_one(p))
+    _basis_with_minus_one(monkeypatch, p)
     assert verification._recombination(group_spec(n), random.Random(n)) == f"{p.name}: trial 0"
 
 
@@ -749,6 +786,60 @@ def test_mu_regular_reports_the_first_failure(monkeypatch):
     assert (row.status, row.detail) == ("FAIL", "P1 word ()")
 
 
+def test_a2_by_length_reports_two_values_at_one_length(monkeypatch):
+    original = verification.parabolic_report
+
+    def doubled(g, p, lam, diagram):
+        # P2's word (2, 3) shares length 2 with (2, 1); doubling its a keeps its sign
+        report = original(g, p, lam, diagram)
+        if g.n != 5 or p is not MaximalParabolic.P2:
+            return report
+        records = tuple(
+            replace(r, a_normalized=r.a_normalized.scale(2)) if r.word == (2, 3) else r
+            for r in report.records
+        )
+        return replace(report, records=records)
+
+    monkeypatch.setattr(verification, "parabolic_report", doubled)
+    rows = {(r.check, r.n): r for r in run_verification(6)}
+    assert (rows[("a2-by-length", 5)].status, rows[("a2-by-length", 5)].detail) == (
+        "FAIL",
+        "lengths [2]",
+    )
+    assert rows[("sign-rule", 5)].status == rows[("mu-regular", 5)].status == "PASS"
+    assert rows[("a2-by-length", 6)].status == "PASS"
+
+
+def test_antipodal_failure_is_reported(monkeypatch):
+    original = verification.evaluation_coefficient
+
+    def flipped(g, p, word):
+        # the row reads only () and the longest word; P2's longest word changes sign
+        value = original(g, p, word)
+        return -value if p is MaximalParabolic.P2 and word else value
+
+    monkeypatch.setattr(verification, "evaluation_coefficient", flipped)
+    rows = [r for r in run_verification(6) if r.check == "antipodal"]
+    assert [(r.n, r.status, r.detail) for r in rows] == [(5, "FAIL", "P2"), (6, "FAIL", "P2")]
+
+
+def test_covers_at_six_need_more_than_the_walk_edges(monkeypatch):
+    original = verification.with_bruhat_covers
+
+    def walk_only(h):
+        completed = original(h)
+        return replace(completed, cover_edges=tuple((a, b) for a, b, _ in completed.algo_edges))
+
+    monkeypatch.setattr(verification, "with_bruhat_covers", walk_only)
+    rows = {(r.check, r.n): r for r in run_verification(7)}
+    assert rows[("covers", 5)].status == "PASS"
+    assert (rows[("covers", 6)].status, rows[("covers", 6)].detail) == (
+        "FAIL",
+        "P2: expected strictly more covers than walk edges",
+    )
+    assert ("covers", 7) not in rows
+
+
 def test_support_reports_the_first_failure(monkeypatch):
     # a cuspidal degree of n makes l = 0 a holomorphy gap in both parabolics
     monkeypatch.setattr(verification, "cuspidal_degrees", lambda g, p: (g.n,))
@@ -756,7 +847,7 @@ def test_support_reports_the_first_failure(monkeypatch):
     assert (row.status, row.detail) == ("FAIL", "P1: holomorphy gap at l=0")
 
 
-# --- a node with a wrong stored length ends in FAIL rows, not an error ---
+# --- an error in a row ends in its FAIL row, not a crash ---
 
 
 def _p1_node_moved(monkeypatch, old, new):
@@ -791,3 +882,70 @@ def test_record_reader_error_fails_the_record_rows(monkeypatch, capsys):
     assert all(r.status == "PASS" for (_, n), r in rows.items() if n == 6)
     assert main(["verify", "--n-max", "5"]) == 1
     assert f"sign-rule      n=5   FAIL  [{message}]" in capsys.readouterr().out
+
+
+def test_an_error_in_any_row_fails_that_row(monkeypatch, capsys):
+    # P1's longest node takes a word that is not minimal, so evaluation_coefficient raises
+    original = verification._diagrams
+
+    def tampered(g):
+        diagrams = dict(original(g))
+        h = diagrams[MaximalParabolic.P1]
+        *rest, longest = h.nodes  # (1, 2, 3, 2, 1)
+        not_minimal = replace(longest, word=(2, 2, 3, 2, 1))
+        diagrams[MaximalParabolic.P1] = replace(h, nodes=(*rest, not_minimal))
+        return diagrams
+
+    monkeypatch.setattr(verification, "_diagrams", tampered)
+    rows = {r.check: r for r in run_verification(5)}
+    message = "word (2, 2, 3, 2, 1) is not minimal for the parabolic (fails at α_3)"
+    assert (rows["antipodal"].status, rows["antipodal"].detail) == ("FAIL", message)
+    assert len(rows) == 13 and list(rows)[-1] == "covers"  # the later rows still run
+    assert main(["verify", "--n-max", "5"]) == 1
+    assert f"antipodal      n=5   FAIL  [{message}]" in capsys.readouterr().out
+
+
+def test_lambda_is_drawn_once_when_the_records_raise(monkeypatch):
+    _p1_node_moved(monkeypatch, 1, 2)
+    context = _context(5)
+    for name in ("sign-rule", "mu-regular", "a2-by-length"):
+        detail = verification._caught(_row(name), context)
+        assert detail == "word (1,) has length 1, but its node says 2"
+    once = random.Random(7 * 1000 + 5)
+    lam = [Fraction(once.randint(1, 9), once.randint(1, 3)) for _ in range(3)]
+    assert context.lam == Weight.from_constants(lam, 3)
+    assert context.rng.getstate() == once.getstate()
+
+
+# --- the rows, in order ---
+
+ROWS = [
+    "counts",
+    "histogram",
+    "reduced-words",
+    "oracle",
+    "group-order",
+    "back-or-forth",
+    "recombination",
+    "antipodal",
+    "sign-rule",
+    "mu-regular",
+    "a2-by-length",
+    "support",
+]
+SKIPPED_ABOVE_RANK_SIX = {
+    "oracle": "rank 7 > 6",
+    "group-order": "rank 7 > 6",
+    "back-or-forth": "rank 7 > 5",
+}
+
+
+def test_rows_come_in_the_table_order():
+    assert [name for name, _ in verification._CHECKS] == [*ROWS, "covers"]
+    results = run_verification(13)
+    rows = {n: [r.check for r in results if r.n == n] for n in (5, 7, 12, 13)}
+    assert rows == {5: [*ROWS, "covers"], 7: ROWS, 12: ROWS, 13: ROWS}
+    for n in (12, 13):
+        skips = {r.check: r.detail for r in results if r.n == n and r.status == "SKIP"}
+        assert skips == SKIPPED_ABOVE_RANK_SIX
+
