@@ -20,10 +20,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .eisenstein import ParabolicReport, Report, full_report, parabolic_report, regular_weight
+from .eisenstein import KostantRecord, Report, iter_records, regular_weight, report_summary
 from .errors import OrthoweylError
 from .hasse import build_hasse, length_histogram, to_dot, to_json_dict, with_bruhat_covers
-from .linform import parse_rational
+from .linform import parse_rational, render_form
 from .orthogroup import GroupSpec, MaximalParabolic, group_spec, parabolic_choice
 from .verification import format_results, run_verification
 from .weylgroup import render_word
@@ -156,12 +156,54 @@ def _json_chunks(payload: dict) -> Iterator[str]:
     yield "\n"
 
 
+#: A JSON value that stands for an array whose items are streamed; see _json_streamed.
+_HOLE = "\0streamed array"
+
+
+def _json_streamed(
+    payload: dict, arrays: Iterable[Callable[[str], Iterable[str]]]
+) -> Iterator[str]:
+    """``json.dumps(payload, ensure_ascii=False, indent=2) + "\n"``, chunk by chunk, where
+    the i-th ``_HOLE`` value of ``payload`` is an array streamed from ``arrays[i]``.
+
+    ``arrays[i](indent)`` yields the JSON text of each item as json.dumps writes
+    it at that indent, so only one item is held at a time.
+    """
+    text, hole = _JSON.encode(payload), _JSON.encode(_HOLE)
+    start = 0
+    for items in arrays:
+        at = text.index(hole, start)
+        yield text[start:at]
+        line = text[text.rfind("\n", 0, at) + 1 : at]
+        outer = line[: len(line) - len(line.lstrip(" "))]
+        inner = outer + "  "
+        separator = "[\n" + inner
+        for item in items(inner):
+            yield separator + item
+            separator = ",\n" + inner
+        yield "[]" if separator[0] == "[" else "\n" + outer + "]"
+        start = at + len(hole)
+    yield text[start:]
+    yield "\n"
+
+
+class _Echo:
+    """A file whose ``write`` returns the line, so ``csv.writer(_Echo()).writerow`` does."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_chunks(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow(row)
+
+
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(_csv_chunks(header, rows))
 
 
 def _text_table(header: list[str], rows: list[list[str]]) -> str:
@@ -229,21 +271,53 @@ def cmd_hasse(args) -> int:
 # --- kostant / lambdaw -------------------------------------------------------
 
 
-def _record_rows(report: ParabolicReport) -> list[dict]:
-    return [
-        {
-            "length": rec.length,
-            "word": list(rec.word),
-            "word_repr": render_word(rec.word),
-            "mu": [f.render() for f in rec.mu_restricted],
-            "a": rec.a_normalized.render(),
-            "a_raw": rec.a_raw.render(),
-            "holomorphy_guaranteed": rec.holomorphy_guaranteed,
-            "needs_weight_constraint": rec.needs_weight_constraint,
-            "excluded_from_generation": rec.excluded_from_generation,
-        }
-        for rec in report.records
-    ]
+# Each record is rendered from its integer rows as the walk yields it; no record
+# and no row is held (the text tables, which need every column width first, hold
+# their rendered cells).
+
+_JSON_STR = json.encoder.encode_basestring  # json's own string encoder, ensure_ascii=False
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _mu_cells(rec: KostantRecord) -> list[str]:
+    return [render_form(constant, terms, rec.mu_den) for constant, terms in rec.mu_rows]
+
+
+def _a_cell(rec: KostantRecord) -> str:
+    return render_form(*rec.a_row, rec.a_den)
+
+
+def _json_array(items: list[str], newline_indent: str) -> str:
+    """The items, already JSON, as json.dumps writes a list that closes at ``newline_indent``."""
+    if not items:
+        return "[]"
+    inner = newline_indent + "  "
+    return "[" + inner + ("," + inner).join(items) + newline_indent + "]"
+
+
+def _record_json(indent: str) -> Callable[[KostantRecord], str]:
+    """The JSON object of a record row, as json.dumps writes it with its ``{`` at ``indent``."""
+    i1 = "\n" + indent + "  "
+
+    def encode(rec: KostantRecord) -> str:
+        word = _json_array(list(map(str, rec.word)), i1)
+        mu = _json_array(list(map(_JSON_STR, _mu_cells(rec))), i1)
+        a_raw = render_form(*rec.a_row, rec.a_raw_den)
+        return (
+            f'{{{i1}"length": {rec.length},{i1}"word": {word},'
+            f'{i1}"word_repr": {_JSON_STR(render_word(rec.word))},{i1}"mu": {mu},'
+            f'{i1}"a": {_JSON_STR(_a_cell(rec))},{i1}"a_raw": {_JSON_STR(a_raw)},'
+            f'{i1}"holomorphy_guaranteed": {_JSON_BOOL[rec.holomorphy_guaranteed]},'
+            f'{i1}"needs_weight_constraint": {_JSON_BOOL[rec.needs_weight_constraint]},'
+            f'{i1}"excluded_from_generation": {_JSON_BOOL[rec.excluded_from_generation]}'
+            f"{i1[:-2]}}}"
+        )
+
+    return encode
+
+
+def _record_array(records: Iterable[KostantRecord]) -> Callable[[str], Iterator[str]]:
+    return lambda indent: map(_record_json(indent), records)
 
 
 def _kostant_like(args, which: str) -> int:
@@ -251,10 +325,9 @@ def _kostant_like(args, which: str) -> int:
     p = _parse_parabolic(args.parabolic)
     lam = None if args.lam is None else _parse_lambda(args.lam, g.k)
     try:
-        report = parabolic_report(g, p, None if lam is None else regular_weight(g, lam))
+        records = iter_records(g, p, None if lam is None else regular_weight(g, lam))
     except OrthoweylError as exc:
         raise _CliError(str(exc)) from None
-    rows = _record_rows(report)
     if args.format == "json":
         payload = {
             "command": which,
@@ -262,21 +335,21 @@ def _kostant_like(args, which: str) -> int:
             "k": g.k,
             "parabolic": p.name,
             "lambda": None if lam is None else [str(v) for v in lam],
-            "rows": rows,
+            "rows": _HOLE,
         }
-        return _emit(_json_chunks(payload), args.out)
+        return _emit(_json_streamed(payload, [_record_array(records)]), args.out)
     if which == "kostant":
         header = ["length", "word"] + [f"mu_{i}" for i in range(1, g.k)]
-        table = [[str(r["length"]), r["word_repr"], *r["mu"]] for r in rows]
+        table = ([str(r.length), render_word(r.word), *_mu_cells(r)] for r in records)
     else:
         header = ["length", "word", "a", "holomorphic"]
-        table = [
-            [str(r["length"]), r["word_repr"], r["a"], str(r["holomorphy_guaranteed"]).lower()]
-            for r in rows
-        ]
+        table = (
+            [str(r.length), render_word(r.word), _a_cell(r), _JSON_BOOL[r.holomorphy_guaranteed]]
+            for r in records
+        )
     if args.format == "csv":
-        return _emit(_csv_text(header, table), args.out)
-    return _emit(_text_table(header, table), args.out)
+        return _emit(_csv_chunks(header, table), args.out)
+    return _emit(_text_table(header, list(table)), args.out)
 
 
 def cmd_kostant(args) -> int:
@@ -329,7 +402,7 @@ def _report_payload(report: Report) -> dict:
                         for e in pr.support.generation
                     ],
                 },
-                "records": _record_rows(pr),
+                "records": _HOLE,
             }
             for pr in report.parabolics
         ],
@@ -373,12 +446,15 @@ def cmd_report(args) -> int:
     g = _group(args)
     lam = None if args.lam is None else _parse_lambda(args.lam, g.k)
     try:
-        report = full_report(g, lam)
+        weight = None if lam is None else regular_weight(g, lam)
     except OrthoweylError as exc:
         raise _CliError(str(exc)) from None
-    if args.format == "json":
-        return _emit(_json_chunks(_report_payload(report)), args.out)
-    return _emit(_report_text(report), args.out)
+    if args.format == "text":
+        return _emit(_report_text(report_summary(g, lam)), args.out)
+    diagrams = {p: build_hasse(parabolic_choice(g, p)) for p in MaximalParabolic}
+    payload = _report_payload(report_summary(g, lam, diagrams))
+    arrays = [_record_array(iter_records(g, p, weight, h)) for p, h in diagrams.items()]
+    return _emit(_json_streamed(payload, arrays), args.out)
 
 
 # --- verify ------------------------------------------------------------------

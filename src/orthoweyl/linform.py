@@ -14,6 +14,7 @@ constant last.  Examples: ``λ1+λ2+1``, ``-(2/5)λ1-1``, ``0``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionError, IndexRangeError
 
-__all__ = ["Rational", "RationalLike", "LinearForm", "parse_rational"]
+__all__ = ["Rational", "RationalLike", "LinearForm", "parse_rational", "render_form"]
 
 #: Exact rational scalar: arbitrary-precision numerator, positive denominator,
 #: always in lowest terms.  ``fractions.Fraction`` guarantees all three.
@@ -42,6 +43,29 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def render_form(constant: int, terms: Iterable[tuple[int, int]], den: int = 1) -> str:
+    """The text of ``(constant + Σ x·λ_i) / den`` for ``(i, x)`` in ``terms``, den > 0.
+
+    ``terms`` are in ascending i; zero entries are skipped.  This is the
+    rendering contract of the module docstring, read from integers.
+    """
+    parts = []
+    for i, x in terms:
+        if x:
+            g = math.gcd(x, den)
+            p, q = abs(x) // g, den // g
+            magnitude = f"({p}/{q})" if q != 1 else "" if p == 1 else str(p)
+            parts.append(("-" if x < 0 else "+") + magnitude + f"λ{i}")
+    if constant:
+        g = math.gcd(constant, den)
+        p, q = abs(constant) // g, den // g
+        parts.append(("-" if constant < 0 else "+") + (f"{p}/{q}" if q != 1 else str(p)))
+    if not parts:
+        return "0"
+    text = "".join(parts)
+    return text[1:] if text[0] == "+" else text
 
 
 @dataclass(frozen=True)
@@ -158,25 +182,9 @@ class LinearForm:
 
     def render(self) -> str:
         """Canonical text form, e.g. ``λ1+λ2+1`` or ``-(2/5)λ1-1``."""
-        parts: list[tuple[str, str]] = []
-        for i, c in self.coeffs:
-            mag = abs(c)
-            if mag == 1:
-                body = f"λ{i}"
-            elif mag.denominator == 1:
-                body = f"{mag}λ{i}"
-            else:
-                body = f"({mag})λ{i}"
-            parts.append(("-" if c < 0 else "+", body))
-        if self.constant != 0:
-            parts.append(("-" if self.constant < 0 else "+", str(abs(self.constant))))
-        if not parts:
-            return "0"
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        den = math.lcm(self.constant.denominator, *(c.denominator for _, c in self.coeffs))
+        terms = [(i, int(c * den)) for i, c in self.coeffs]
+        return render_form(int(self.constant * den), terms, den)
 
     def __str__(self) -> str:
         return self.render()

@@ -318,21 +318,31 @@ class _Context:
 
     @cached_property
     def records(self) -> tuple[str, str, str]:
+        """The details of sign-rule, mu-regular and a2-by-length, built once: when the records
+        raise, the error's text is each row's detail."""
+        try:
+            return self._record_details()
+        except OrthoweylError as err:
+            return (str(err),) * 3
+
+    def _record_details(self) -> tuple[str, str, str]:
         """The first failures of sign-rule and mu-regular at ``lam`` (strict lengths only), and of
-        a2-by-length: one normalized P2 coefficient per length at the all-ones weight."""
+        a2-by-length: one normalized P2 coefficient per length at the all-ones weight.  At these
+        numeric weights each integer row of a record is its constant numerator alone, over a
+        positive denominator, so its sign is the value's."""
         g, detail, detail2 = self.g, "", ""
         for p in PARABOLICS:
             dim = nilradical_dim(g, p)
             for rec in parabolic_report(g, p, self.lam, self.diagrams[p]).records:
-                a, twice = rec.a_normalized.constant_value(), 2 * rec.length
+                a, twice = rec.a_row[0], 2 * rec.length
                 if not detail and (twice < dim and not a < 0 or twice > dim and not a > 0):
-                    detail = f"{p.name} l={rec.length}: a={a}"
-                if not detail2 and any(f.constant_value() <= 0 for f in rec.mu_restricted):
+                    detail = f"{p.name} l={rec.length}: a={Fraction(a, rec.a_den)}"
+                if not detail2 and any(c <= 0 for c, _ in rec.mu_rows):
                     detail2 = f"{p.name} word {rec.word}"
         p2, ones = MaximalParabolic.P2, Weight.from_constants([1] * g.k, g.k)
         per_length: dict[int, set[Fraction]] = {}
         for rec in parabolic_report(g, p2, ones, self.diagrams[p2]).records:
-            per_length.setdefault(rec.length, set()).add(rec.a_normalized.constant_value())
+            per_length.setdefault(rec.length, set()).add(Fraction(rec.a_row[0], rec.a_den))
         bad = sorted(l for l, vals in per_length.items() if len(vals) > 1)
         return detail, detail2, f"lengths {bad}" if bad else ""
 

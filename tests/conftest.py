@@ -11,7 +11,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
-from orthoweyl.eisenstein import KostantRecord
 from orthoweyl.errors import (
     DimensionError,
     IndexRangeError,
@@ -77,9 +76,24 @@ def reflect_word(datum: RootDatum, word, w: Weight) -> Weight:
     return w
 
 
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """A record's values as LinearForms: the reader's records must give the same
+    values through their views (``mu_restricted``, ``a_raw``, ``a_normalized``)."""
+
+    word: tuple[int, ...]
+    length: int
+    mu_restricted: tuple[LinearForm, ...]
+    a_raw: LinearForm
+    a_normalized: LinearForm
+    holomorphy_guaranteed: bool
+    needs_weight_constraint: bool
+    excluded_from_generation: bool
+
+
 def reference_record(
     g: GroupSpec, p: MaximalParabolic, word, lam: Weight | None = None
-) -> KostantRecord:
+) -> ReferenceRecord:
     """The record of ``word`` by the LinearForm path, independent of action matrices.
 
     w(λ+ρ) by a :func:`simple_reflection` fold, split by ``restrict``; the
@@ -103,7 +117,7 @@ def reference_record(
     length = len(inversion_vectors(datum, word))
     even_p1 = not g.is_odd and p is MaximalParabolic.P1
     excluded = even_p1 and length == g.k - 1
-    return KostantRecord(
+    return ReferenceRecord(
         word=tuple(word),
         length=length,
         mu_restricted=restrict(g, p, moved - shift).b_coords,

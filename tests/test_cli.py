@@ -6,10 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 
+from pathlib import Path
+
 import jsonschema
 import pytest
 
-from orthoweyl import cli
+from orthoweyl import cli, eisenstein
 from orthoweyl.cli import main, output_schema
 
 SCHEMA = output_schema()
@@ -453,3 +455,42 @@ def test_emit_to_stdout_holds_a_bounded_batch(monkeypatch, buffered):
     assert code == 0
     assert peak < 256 * 1024
     assert raw.digest.hexdigest() == _expected_digest()
+
+
+# --- records are streamed from the walk, and text report reads none ---
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text("utf-8"))["outputs"]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_text_report_reads_no_record(capsys, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("text report read a record")
+
+    monkeypatch.setattr(eisenstein, "_read_record", no_record)
+    code, out, err = run_cli(capsys, "report", "--n", "9")
+    assert code == 0, err
+    assert _sha256(out) == GOLDEN["report --n 9 --format text"]
+
+
+def test_json_report_writes_before_the_last_record(monkeypatch):
+    reader, read, writes = eisenstein._read_record, [], []
+
+    def counted(*args):
+        read.append(args[2])
+        return reader(*args)
+
+    def spy(text):
+        writes.append((len(read), text))
+
+    monkeypatch.setattr(eisenstein, "_read_record", counted)
+    monkeypatch.setattr(cli, "_stdout_writer", lambda: spy)
+    assert main(["report", "--n", "41", "--format", "json"]) == 0
+    total = 42 + 42 * 40 // 2  # |W^P| of both parabolics at n = 41
+    assert len(read) == total
+    assert writes[0][0] < total
+    assert any(0 < seen < total for seen, _ in writes)  # batches go out during the walk
+    assert _sha256("".join(text for _, text in writes)) == GOLDEN["report --n 41 --format json"]

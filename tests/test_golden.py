@@ -22,7 +22,11 @@ product per parabolic; and of ``report --n 41``
 (text and json), as produced before every record came from one integer
 action-matrix reader; and of ``report --n 61`` (text and json), as produced
 before every JSON document was streamed to its destination in bounded
-batches.  Its ``demos`` entry is checked in ``test_demos.py``.
+batches; and of ``report --n 101`` (text and json) and ``kostant`` and
+``lambdaw --n 41 --parabolic P2`` (json and csv), as produced before every
+record became integer rows rendered as the walk yields them and text
+``report`` stopped building records.  Its ``demos`` entry is checked in
+``test_demos.py``.
 """
 
 import hashlib

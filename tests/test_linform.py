@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthoweyl.errors import DimensionError
-from orthoweyl.linform import LinearForm, parse_rational
+from orthoweyl.linform import LinearForm, parse_rational, render_form
 
 
 def lf(const=0, coeffs=None, k=3):
@@ -157,3 +157,62 @@ def test_arithmetic_refuses_mixed_universes(a, b):
             op(a, b)
         with pytest.raises(DimensionError):
             op(b, a)
+
+
+# --- the integer renderer against the Fraction renderer it replaced ---
+
+
+def reference_render(f):
+    """``LinearForm.render`` as it was on Fractions: the reference for ``render_form``."""
+    parts = []
+    for i, c in f.coeffs:
+        mag = abs(c)
+        if mag == 1:
+            body = f"λ{i}"
+        elif mag.denominator == 1:
+            body = f"{mag}λ{i}"
+        else:
+            body = f"({mag})λ{i}"
+        parts.append(("-" if c < 0 else "+", body))
+    if f.constant != 0:
+        parts.append(("-" if f.constant < 0 else "+", str(abs(f.constant))))
+    if not parts:
+        return "0"
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        out += sign + body
+    return out
+
+
+numerators = st.one_of(st.integers(-1000, 1000), st.sampled_from([0, 1, -1]))
+
+
+@st.composite
+def integer_forms(draw):
+    """(nvars, constant, terms, den): numerators in ±1000 (zeros and units often) over 1..60."""
+    nvars = draw(st.integers(1, 8))
+    den = draw(st.integers(1, 60))
+    if draw(st.booleans()):  # unit coefficients ±1 after reduction
+        pick = st.sampled_from([den, -den])
+    else:
+        pick = numerators
+    terms = [(i, x) for i in range(1, nvars + 1) if (x := draw(pick))]
+    return nvars, draw(numerators), terms, den
+
+
+@given(integer_forms())
+def test_integer_renderer_equals_fraction_renderer(case):
+    nvars, constant, terms, den = case
+    form = LinearForm(nvars, Q(constant, den), tuple((i, Q(x, den)) for i, x in terms))
+    text = render_form(constant, terms, den)
+    assert text == reference_render(form) == form.render()
+    assert LinearForm.parse(text, nvars) == form
+
+
+def test_integer_renderer_examples():
+    assert render_form(0, [], 7) == "0"
+    assert render_form(2, [(1, 2), (2, 2)], 2) == "λ1+λ2+1"
+    assert render_form(-5, [(1, -2)], 5) == "-(2/5)λ1-1"
+    assert render_form(-3, [(2, -4), (3, 6)], 6) == "-(2/3)λ2+λ3-1/2"
+    assert render_form(0, [(1, 0), (2, -1)]) == "-λ2"

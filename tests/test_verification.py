@@ -13,6 +13,7 @@ import orthoweyl.orthogroup as orthogroup
 import orthoweyl.verification as verification
 from conftest import diagram
 from orthoweyl.cli import main
+from orthoweyl.errors import OrthoweylError
 from orthoweyl.linform import LinearForm
 from orthoweyl.verification import (
     PARABOLICS,
@@ -740,6 +741,12 @@ def test_record_checks_pass_at_thirteen():
         assert rows[(check, 13)] == "PASS"
 
 
+def _negated(form):
+    """A record's integer row (constant, terms) times -1."""
+    constant, terms = form
+    return -constant, tuple((i, -x) for i, x in terms)
+
+
 def test_sign_rule_failure_is_reported_at_thirteen(monkeypatch):
     original = verification.parabolic_report
 
@@ -748,7 +755,7 @@ def test_sign_rule_failure_is_reported_at_thirteen(monkeypatch):
         if g.n != 13 or p is not MaximalParabolic.P1:
             return report
         first, *rest = report.records
-        first = replace(first, a_normalized=-first.a_normalized)
+        first = replace(first, a_row=_negated(first.a_row))
         return replace(report, records=(first, *rest))
 
     monkeypatch.setattr(verification, "parabolic_report", flipped)
@@ -770,7 +777,7 @@ def _every_record(change):
 
 
 def test_sign_rule_reports_the_first_failure(monkeypatch):
-    monkeypatch.setattr(*_every_record(lambda r: replace(r, a_normalized=-r.a_normalized)))
+    monkeypatch.setattr(*_every_record(lambda r: replace(r, a_row=_negated(r.a_row))))
     row = next(r for r in run_verification(7) if r.check == "sign-rule" and r.n == 7)
     assert row.status == "FAIL"
     assert row.detail.startswith("P1 l=0: a=")
@@ -778,8 +785,7 @@ def test_sign_rule_reports_the_first_failure(monkeypatch):
 
 def test_mu_regular_reports_the_first_failure(monkeypatch):
     def zero(rec):
-        mu = tuple(LinearForm.zero(f.nvars) for f in rec.mu_restricted)
-        return replace(rec, mu_restricted=mu)
+        return replace(rec, mu_rows=((0, ()),) * len(rec.mu_rows))
 
     monkeypatch.setattr(*_every_record(zero))
     row = next(r for r in run_verification(5) if r.check == "mu-regular")
@@ -795,7 +801,7 @@ def test_a2_by_length_reports_two_values_at_one_length(monkeypatch):
         if g.n != 5 or p is not MaximalParabolic.P2:
             return report
         records = tuple(
-            replace(r, a_normalized=r.a_normalized.scale(2)) if r.word == (2, 3) else r
+            replace(r, a_row=(2 * r.a_row[0], r.a_row[1])) if r.word == (2, 3) else r
             for r in report.records
         )
         return replace(report, records=records)
@@ -915,6 +921,33 @@ def test_lambda_is_drawn_once_when_the_records_raise(monkeypatch):
     lam = [Fraction(once.randint(1, 9), once.randint(1, 3)) for _ in range(3)]
     assert context.lam == Weight.from_constants(lam, 3)
     assert context.rng.getstate() == once.getstate()
+
+
+def test_record_rows_build_the_records_once_when_they_raise(monkeypatch):
+    # The reader fails on the last of one build's three reports (P1 and P2 at the
+    # random λ, then P2 at λ = 1): the three rows share that build and its error.
+    reader, report, calls = eisenstein._read_record, verification.parabolic_report, []
+
+    def failing_at_ones(g, p, word, act, lam):
+        if lam.den == 1 and set(lam.const) == {2}:  # λ_i + 1 = 2 for every i
+            raise OrthoweylError(f"no record of {word} at λ = 1")
+        return reader(g, p, word, act, lam)
+
+    def counted(g, p, lam, diagram):
+        calls.append(g.n)
+        return report(g, p, lam, diagram)
+
+    monkeypatch.setattr(eisenstein, "_read_record", failing_at_ones)
+    monkeypatch.setattr(verification, "parabolic_report", counted)
+    results = run_verification(6)
+    assert calls == [5, 5, 5, 6, 6, 6]
+    for n in (5, 6):
+        rows = {r.check: r for r in results if r.n == n}
+        details = {rows[name].detail for name in ("sign-rule", "mu-regular", "a2-by-length")}
+        assert details == {"no record of () at λ = 1"}
+        assert {rows[name].status for name in ("sign-rule", "mu-regular", "a2-by-length")} == {
+            "FAIL"
+        }
 
 
 # --- the rows, in order ---
