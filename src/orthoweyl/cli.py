@@ -202,10 +202,6 @@ def _csv_chunks(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
         yield writer.writerow(row)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    return "".join(_csv_chunks(header, rows))
-
-
 def _text_table(header: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -248,7 +244,7 @@ def cmd_cosets(args) -> int:
     table = [[str(r["length"]), r["word_repr"], str(r["count_at_length"])] for r in rows]
     header = ["length", "word", "N(l)"]
     if args.format == "csv":
-        return _emit(_csv_text(header, table), args.out)
+        return _emit(_csv_chunks(header, table), args.out)
     return _emit(_text_table(header, table), args.out)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from operator import add, mul, sub
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter, neg
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionError,
@@ -51,14 +51,15 @@ from .rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
+    _eps_to_weight_vector,
     doubled_epsilon,
+    simple_root_vector,
 )
 from .weylgroup import (
-    Columns,
     WeylWord,
-    identity_matrix,
-    times_generator,
-    word_action_matrix,
+    encoded_inverse,
+    left_action,
+    sign_positions,
     word_length,
 )
 
@@ -168,10 +169,9 @@ class KostantRecord:
 def kostant_record(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> KostantRecord:
-    """Record of one word, its action matrix built from scratch; checks that it is in W^P."""
-    cols = tuple(zip(*word_action_matrix(g.datum, word)))
-    shifted = _ShiftedWeight(_symbolic_or_given(g, lam))
-    return _read_record(g, p, word, _action(cols, shifted, _levi_split(g, p)[2]), shifted)
+    """Record of one word, its u = w⁻¹ from :func:`encoded_inverse`; checks that it is in W^P."""
+    u = encoded_inverse(*left_action(g.datum), word)
+    return _read_record(g, p, word, u, _ShiftedWeight(g.datum, _symbolic_or_given(g, lam)))
 
 
 @dataclass(frozen=True)
@@ -250,25 +250,25 @@ def _class_label(g: GroupSpec, p: MaximalParabolic) -> str:
     return f"π_{g.k - 1}(μ)"
 
 
-# --- records from integer action matrices --------------------------------------
+# --- records from w⁻¹ as a signed permutation ------------------------------------
 #
-# Every record is read off the ϖ-action matrix A of w and λ+ρ written as
-# integer rows over one denominator.  The walk carries A along its edges:
-# a node's matrix is its parent's times one generator, A_{u·s_j} = A_u·S_j
-# (weylgroup.times_generator), which changes column j only, so matrices are
-# kept as column tuples, and the vectors read off A (_Action) move by column
-# j's change alone.  kostant_record builds A and them from scratch instead.
-#   w(λ+ρ)_i = Σ_j A[i][j]·(λ_j + 1),   wρ = row sums of A.
+# Every record is read off u = w⁻¹, the 2k bytes of weylgroup's signed-permutation
+# model, and λ+ρ.  The walk carries u along its edges: a node's u is its parent's
+# with one generator applied on the left, s_j∘u = u.translate(tables[j-1]), and
+# kostant_record takes u from encoded_inverse of its word instead.  Row r of
+# w(λ+ρ) is <λ+ρ, u(α_r^∨)>, and the coroot u(α_r^∨) is ε_x - ε_y for the signed
+# indices x, y that two bytes of u name: u(ε_r), u(ε_{r+1}) below the last node,
+# and at it u(ε_{k-1}), u(-ε_k) for D_k (ε_x + ε_y) and u(ε_k), u(-ε_k) for B_k
+# (2ε_x).  So a row is (E[x] - E[y])/2 with E = 2(λ+ρ) in ε-coordinates, indexed
+# by byte, and wρ is the gather of 2ρ by u's first k bytes.
 
 
-def _length_of(datum: RootDatum, w_rho: Sequence[int]) -> int:
-    """l(w) = #{β > 0 : (wρ, β) < 0}, from wρ in ϖ-coordinates.
+def _length_of(datum: RootDatum, x: Sequence[int]) -> int:
+    """l(w) = #{β > 0 : (wρ, β) < 0}, from x = 2wρ in ε-coordinates.
 
-    With x the doubled ε-coordinates of wρ that counts the pairs i < j with
-    x_i < x_j or x_i + x_j < 0 (and for B_k the i with x_i < 0), each j's
-    pairs by bisection in the sorted x_i before it.
+    That counts the pairs i < j with x_i < x_j or x_i + x_j < 0 (and for B_k
+    the i with x_i < 0), each j's pairs by bisection in the sorted x_i before it.
     """
-    x = doubled_epsilon(datum, w_rho)
     count = sum(1 for v in x if v < 0) if datum.kind is DynkinKind.B else 0
     before: list[int] = []
     for xj in x:
@@ -277,19 +277,20 @@ def _length_of(datum: RootDatum, w_rho: Sequence[int]) -> int:
     return count
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
+class _ShiftedWeight(dict):
+    """λ+ρ for the records of one datum, as integers over one denominator ``den``.
 
-
-class _ShiftedWeight:
-    """λ+ρ as integer rows over one denominator.
-
-    ``λ_i + 1 = (const[i] + Σ s·λ_c) / den``, where ``columns`` lists, for each
-    variable λ_c that occurs, its nonzero entries ``(i, s)`` (0-based i), and
-    ``variables`` those c in the same order.
+    ``const`` is den·(λ+ρ)'s constant column in ϖ-coordinates.  ``eps[b]`` is
+    den·2(λ+ρ) at the ε-coordinate of byte b's signed index, as the tuple
+    (constant, coefficient of each λ_c in ``variables``), and ``rho[b]`` is 2ρ
+    there.  ``positions[r]`` are the two bytes of u that name row r+1.  As a
+    dict, it maps each pair of bytes (x, y) to the 𝔟-row den·((E[x] - E[y])/2 - 1)
+    of :class:`KostantRecord`, built at its first read and kept until the table
+    is emptied.
     """
 
-    def __init__(self, lam: Weight):
+    def __init__(self, datum: RootDatum, lam: Weight):
+        super().__init__()
         coords = lam.coords
         self.nvars = coords[0].nvars
         if any(f.nvars != self.nvars for f in coords):
@@ -298,22 +299,25 @@ class _ShiftedWeight:
             *(f.constant.denominator for f in coords),
             *(c.denominator for f in coords for _, c in f.coeffs),
         )
-        self.const = tuple(int((f.constant + 1) * den) for f in coords)
-        columns: dict[int, list[tuple[int, int]]] = {}
+        columns: dict[int, list[int]] = {}
         for i, f in enumerate(coords):
             for c, s in f.coeffs:
-                columns.setdefault(c, []).append((i, int(s * den)))
-        self.columns = tuple((c, tuple(terms)) for c, terms in sorted(columns.items()))
-        self.variables = tuple(c for c, _ in self.columns)
+                columns.setdefault(c, [0] * datum.rank)[i] = int(s * den)
+        self.variables = tuple(sorted(columns))
+        self.const = tuple(int((f.constant + 1) * den) for f in coords)
+        vectors = [self.const, *(columns[c] for c in self.variables)]
+        # byte m is ε_m's, byte 2k+1-m (that is, of -m) its negative; byte 0 is unused
+        eps = list(zip(*(doubled_epsilon(datum, v) for v in vectors)))
+        self.eps = [(), *eps, *(tuple(map(neg, e)) for e in reversed(eps))]
+        rho = doubled_epsilon(datum, [1] * datum.rank)
+        self.rho = [0, *rho, *map(neg, reversed(rho))]
+        alphas = (simple_root_vector(datum, r) for r in range(1, datum.rank + 1))
+        self.positions = tuple(sign_positions(datum, alpha) for alpha in alphas)
 
-
-def _combination(cols: Columns, terms: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """``Σ s·cols[i]`` over the ``(i, s)`` in ``terms``."""
-    (i, s), *rest = terms
-    acc = cols[i] if s == 1 else tuple(s * x for x in cols[i])
-    for i, s in rest:
-        acc = tuple(x + s * y for x, y in zip(acc, cols[i]))
-    return acc
+    def __missing__(self, pair: tuple[int, int]) -> IntegerForm:
+        constant, *coeffs = [(x - y) // 2 for x, y in zip(self.eps[pair[0]], self.eps[pair[1]])]
+        row = self[pair] = _integer_form(self.variables, constant - self.den, coeffs)
+        return row
 
 
 def _integer_form(
@@ -341,67 +345,49 @@ def _levi_split(
     return crossed, b_rows, a_weights, int(2 * levi_rho_coefficient(g, p))
 
 
-class _Action(NamedTuple):
-    """An action matrix A, as columns, with the vectors the record reads off it:
-    ``w_rho`` = A·1 (that is wρ), ``const`` = A·lam.const (the constant column of
-    den·w(λ+ρ)) and ``a`` = a_weights·A (one entry per column of A)."""
-
-    cols: Columns
-    w_rho: tuple[int, ...]
-    const: tuple[int, ...]
-    a: tuple[int, ...]
-
-
-def _action(cols: Columns, lam: _ShiftedWeight, a_weights: Sequence[int]) -> _Action:
-    """The vectors of A from scratch, one dot product per entry."""
-    rows = tuple(zip(*cols))
-    return _Action(
-        cols,
-        tuple(map(sum, rows)),
-        tuple(_dot(row, lam.const) for row in rows),
-        tuple(_dot(a_weights, col) for col in cols),
-    )
-
-
-def _action_step(
-    datum: RootDatum, act: _Action, j: int, lam: _ShiftedWeight, a_weights: Sequence[int]
-) -> _Action:
-    """The vectors of A·S_j from those of A: only column j changes, by ``step``."""
-    cols = times_generator(datum, act.cols, j)
-    step = tuple(map(sub, cols[j - 1], act.cols[j - 1]))
-    scale = lam.const[j - 1]
-    return _Action(
-        cols,
-        tuple(map(add, act.w_rho, step)),
-        tuple(map(add, act.const, step if scale == 1 else [scale * x for x in step])),
-        act.a[: j - 1] + (_dot(a_weights, cols[j - 1]),) + act.a[j:],
-    )
+@lru_cache(maxsize=None)
+def _gathers(
+    positions: tuple[tuple[int, int], ...], b_rows: tuple[int, ...], a_weights: tuple[int, ...]
+) -> tuple[Callable[[bytes], tuple[int, ...]], Callable[[bytes], tuple[int, ...]], tuple]:
+    """What a record reads of u: the first and the second byte of each 𝔟-row, as two
+    gathers, and the 𝔞-row Σ_r a_weights[r]·(E[u[x_r]] - E[u[y_r]])/2 collected by byte:
+    the ``(position, weight)`` with 2·(𝔞-row) = Σ weight·E[u[position]].  A byte k+i
+    holds u(-ε_{i+1}) = -u(ε_{i+1}), so its weight moves to byte i, negated."""
+    k = len(positions)
+    weights = [0] * k
+    for a, pair in zip(a_weights, positions):
+        for pos, sign in zip(pair, (a, -a)):
+            weights[pos % k] += sign if pos < k else -sign
+    firsts, seconds = zip(*(positions[r] for r in b_rows))
+    a_terms = tuple((pos, x) for pos, x in enumerate(weights) if x)
+    return itemgetter(*firsts), itemgetter(*seconds), a_terms
 
 
 def _read_record(
-    g: GroupSpec, p: MaximalParabolic, word: WeylWord, act: _Action, lam: _ShiftedWeight
+    g: GroupSpec, p: MaximalParabolic, word: WeylWord, u: bytes, lam: _ShiftedWeight
 ) -> KostantRecord:
-    """The record of w from its action matrix A (with its vectors) and λ+ρ.
+    """The record of w from u = w⁻¹ and λ+ρ.
 
     Raises unless w ∈ W^P, i.e. the ϖ_j-coordinate of wρ is > 0 for every
-    uncrossed j.  Each λ-column of A·(λ+ρ) is a combination of A's columns,
-    and the 𝔞-row is ``act.a`` applied to λ+ρ.
+    uncrossed j.  The 𝔟-rows come from ``lam``'s table, one per byte pair, and
+    the 𝔞-row is ``a_weights`` applied to the rows, gathered by byte.
     """
-    crossed, b_rows, _, rho_a = _levi_split(g, p)
-    w_rho = act.w_rho
+    crossed, b_rows, a_weights, rho_a = _levi_split(g, p)
+    x = [lam.rho[b] for b in u[: g.k]]  # 2wρ in ε-coordinates
+    w_rho = _eps_to_weight_vector(g.datum, x)
     if min(w_rho[: crossed - 1] + w_rho[crossed:], default=1) <= 0:
-        j = next(j for j, x in enumerate(w_rho, 1) if j != crossed and x <= 0)
+        j = next(j for j, c in enumerate(w_rho, 1) if j != crossed and c <= 0)
         raise NotCosetRepresentativeError(
             f"word {word} is not minimal for the parabolic (fails at α_{j})"
         )
-    length = _length_of(g.datum, w_rho)
-    # den·w(λ+ρ) = act.const + Σ_c moved_cols[c]·λ_c; its row i is act.const[i], moved_rows[i]
-    den, variables, a = lam.den, lam.variables, act.a
-    moved_cols = [_combination(act.cols, terms) for _, terms in lam.columns]
-    moved_rows = tuple(zip(*moved_cols)) if moved_cols else ((),) * g.k
-    a_coeffs = [sum(s * a[i] for i, s in terms) for _, terms in lam.columns]
-    mu = tuple(_integer_form(variables, act.const[r] - den, moved_rows[r]) for r in b_rows)
-    a_row = _integer_form(variables, _dot(a, lam.const), a_coeffs)  # 2·den·a_raw
+    length = _length_of(g.datum, x)
+    firsts, seconds, a_terms = _gathers(lam.positions, b_rows, a_weights)
+    mu = tuple(map(lam.__getitem__, zip(firsts(u), seconds(u))))
+    total = [0] * (len(lam.variables) + 1)
+    for pos, weight in a_terms:
+        total = [t + weight * e for t, e in zip(total, lam.eps[u[pos]])]
+    constant, *coeffs = [t // 2 for t in total]  # den·(𝔞-row) = 2·den·a_raw
+    a_row = _integer_form(lam.variables, constant, coeffs)
     even_p1 = (not g.is_odd) and p is MaximalParabolic.P1
     excluded = even_p1 and length == g.k - 1
     return KostantRecord(
@@ -409,10 +395,10 @@ def _read_record(
         length=length,
         nvars=lam.nvars,
         mu_rows=mu,
-        mu_den=den,
+        mu_den=lam.den,
         a_row=a_row,
-        a_raw_den=2 * den,
-        a_den=den * rho_a,
+        a_raw_den=2 * lam.den,
+        a_den=lam.den * rho_a,
         holomorphy_guaranteed=2 * length >= nilradical_dim(g, p),
         needs_weight_constraint=even_p1 and not excluded,
         excluded_from_generation=excluded,
@@ -422,31 +408,32 @@ def _read_record(
 def _walk_records(
     g: GroupSpec, p: MaximalParabolic, diagram: HasseDiagram, lam: _ShiftedWeight
 ) -> Iterator[KostantRecord]:
-    """Records of every node from integer action matrices carried along the walk.
+    """Records of every node from u = w⁻¹ carried along the walk.
 
     A node's parent is the node whose word is its word minus the last letter:
     the source of the walk edge that discovered it.  The nodes come in order
-    of length, as the walk lists them, so only the matrices of the last two
-    lengths are kept.  Besides the W^P check of :func:`_read_record`, each node
-    must have length ``node.length``.
+    of length, as the walk lists them, so only the u of the last two lengths
+    are kept, and ``lam``'s rows are emptied at each new length.  Besides the
+    W^P check of :func:`_read_record`, each node must have length ``node.length``.
     """
-    datum, a_weights = g.datum, _levi_split(g, p)[2]
-    actions = {(): _action(identity_matrix(g.k), lam, a_weights)}
+    ident, tables = left_action(g.datum)
+    inverses = {(): ident}
     depth = 0
     for node in diagram.nodes:
         word = node.word
         if len(word) > depth:
             depth = len(word)
-            actions = {w: act for w, act in actions.items() if len(w) >= depth - 1}
-        act = actions.get(word)
-        if act is None:
-            parent = actions.get(word[:-1])
+            inverses = {w: u for w, u in inverses.items() if len(w) >= depth - 1}
+            lam.clear()
+        u = inverses.get(word)
+        if u is None:
+            parent = inverses.get(word[:-1])
             if parent is None:
                 raise OrthoweylError(
                     f"word {word} has no parent {word[:-1]} earlier in the diagram"
                 )
-            act = actions[word] = _action_step(datum, parent, word[-1], lam, a_weights)
-        record = _read_record(g, p, word, act, lam)
+            u = inverses[word] = parent.translate(tables[word[-1] - 1])
+        record = _read_record(g, p, word, u, lam)
         if record.length != node.length:
             raise OrthoweylError(
                 f"word {word} has length {record.length}, but its node says {node.length}"
@@ -464,11 +451,11 @@ def iter_records(
 
     ``lam`` is None (symbolic λ) or any weight of rank k; it is checked here,
     before the first record.  The records come from the integer walk of
-    :func:`_walk_records`, which holds the action matrices, not the records.
+    :func:`_walk_records`, which holds the inverses u = w⁻¹, not the records.
     """
     if diagram is None:
         diagram = build_hasse(parabolic_choice(g, p))
-    return _walk_records(g, p, diagram, _ShiftedWeight(_symbolic_or_given(g, lam)))
+    return _walk_records(g, p, diagram, _ShiftedWeight(g.datum, _symbolic_or_given(g, lam)))
 
 
 def parabolic_summary(

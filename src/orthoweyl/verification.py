@@ -14,12 +14,8 @@ failure detail, "" for PASS, a ``_Skip`` reason, or None for no row (``covers``
 above n = 6); an ``OrthoweylError`` it raises is its row's FAIL, with the
 error's text as the detail.
 
-The group rows treat W(B_k) and W(D_k) as signed permutations of ε_1..ε_k
-(Björner–Brenti, ch. 8), each u encoded as the 2k bytes f(u(1)), …, f(u(k)),
-f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the signed
-indices as 1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)`` and a
-root's sign is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] < u[pos(-τb)],
-and u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte of u(x).
+The group rows run on the byte-encoded signed permutations of
+:mod:`orthoweyl.weylgroup`.
 
 Rows above their rank guard are SKIP, never silently dropped; ``reduced-words``
 and the record rows (``sign-rule``, ``mu-regular``, ``a2-by-length``) run at
@@ -34,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import add, gt, itemgetter, mul
-from typing import Callable, Iterable, Iterator
+from operator import add, mul
+from typing import Callable, Iterator
 
 from .eisenstein import _levi_split, degree_support, evaluation_coefficient, parabolic_report
 from .errors import OrthoweylError
@@ -50,14 +46,17 @@ from .orthogroup import (
     parabolic_choice,
     restriction_basis,
 )
-from .rootsystem import (
-    RootDatum,
-    Weight,
-    doubled_epsilon,
-    positive_root_vectors,
-    simple_root_vector,
+from .rootsystem import Weight, simple_root_vector
+from .weylgroup import (
+    decode,
+    encoded_inverse,
+    group_layers,
+    inversion_counter,
+    left_action,
+    minimal_inverses,
+    right_gathers,
+    sign_positions,
 )
-from .weylgroup import WeylWord
 
 __all__ = ["CheckResult", "run_verification", "format_results"]
 
@@ -136,108 +135,6 @@ def _recombination(g: GroupSpec, rng: random.Random) -> str:
                 if acc != [2 * bs * x for x in row]:
                     return f"{p.name}: trial {trial}"
     return ""
-
-
-# --- the oracle group as byte-encoded signed permutations -------------------
-
-#: Entry i is ±m when the element sends ε_{i+1} to ±ε_m.  Details print it decoded.
-SignedPermutation = tuple[int, ...]
-
-
-def generator_permutations(datum: RootDatum) -> tuple[SignedPermutation, ...]:
-    """s_1..s_k as signed permutations, each ε_i reflected in α_j (types B and D)."""
-    k = datum.rank
-    gens = []
-    for j in range(1, k + 1):
-        a = doubled_epsilon(datum, simple_root_vector(datum, j))  # 2α_j
-        norm = sum(x * x for x in a)
-        perm = []
-        for i in range(k):
-            # s_j(ε_i) = ε_i - (2(ε_i, a)/(a, a))·a, times (a, a): one entry ±(a, a)
-            image = [norm * (m == i) - 2 * a[i] * x for m, x in enumerate(a)]
-            m = next(m for m, x in enumerate(image) if x)
-            perm.append(m + 1 if image[m] > 0 else -(m + 1))
-        gens.append(tuple(perm))
-    return tuple(gens)
-
-
-def encode(u: SignedPermutation) -> bytes:
-    """The bytes f(u(1)), …, f(u(k)), f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1."""
-    return bytes([x % (2 * len(u) + 1) for x in (*u, *(-x for x in u))])
-
-
-def decode(u: bytes) -> SignedPermutation:
-    """The signed permutation that the bytes ``u`` encode: f^{-1} of its first k bytes."""
-    return tuple([x if 2 * x <= len(u) else x - len(u) - 1 for x in u[: len(u) // 2]])
-
-
-def _position(k: int, x: int) -> int:
-    """The byte that holds u(x), for a signed index x."""
-    return x - 1 if x > 0 else k - x - 1
-
-
-def left_action(datum: RootDatum) -> tuple[bytes, tuple[bytes, ...]]:
-    """The identity's bytes and, per s_j, the table with s_j∘u = u.translate(table)."""
-    ident = encode(tuple(range(1, datum.rank + 1)))
-    return ident, tuple(bytes.maketrans(ident, encode(s)) for s in generator_permutations(datum))
-
-
-def right_gathers(datum: RootDatum) -> list[Callable[[bytes], tuple[int, ...]]]:
-    """Per s_j, the gather with u∘s_j = bytes(gather(u)): pos(x) takes pos(s_j(x))."""
-    k = datum.rank
-    gens = generator_permutations(datum)
-    return [itemgetter(*[_position(k, x) for x in (*s, *(-x for x in s))]) for s in gens]
-
-
-def group_layers(ident: bytes, tables: tuple[bytes, ...]) -> Iterator[list[bytes]]:
-    """The breadth-first layers of the group the ``tables`` generate, layer l the
-    elements of length l in order of discovery.  For involutions u and s∘u lie in
-    adjacent layers, so duplicates are found among layers l-1, l and l+1 alone, and
-    memory follows the largest layer, not the group."""
-    seen, before, layer = {ident}, [], [ident]
-    while layer:
-        yield layer
-        fresh = []
-        for u in layer:
-            for t in tables:
-                v = u.translate(t)
-                if v not in seen:
-                    seen.add(v)
-                    fresh.append(v)
-        seen.difference_update(before)
-        before, layer = layer, fresh
-
-
-def encoded_inverse(ident: bytes, tables: tuple[bytes, ...], word: WeylWord) -> bytes:
-    """w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w."""
-    u = ident
-    for j in word:
-        u = u.translate(tables[j - 1])
-    return u
-
-
-def sign_positions(datum: RootDatum, root: tuple[int, ...]) -> tuple[int, int]:
-    """Bytes (p, q) with u(β) > 0 iff u[p] < u[q], for the ϖ-coordinate root β:
-    p = pos(σa), q = pos(-τb) for β = σε_a + τε_b, and q = pos(-σa) for β = σε_a."""
-    signed = [i + 1 if c > 0 else -(i + 1) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
-    return _position(datum.rank, signed[0]), _position(datum.rank, -signed[-1])
-
-
-def minimal_inverses(datum: RootDatum, group: Iterable, crossed: frozenset[int]) -> set[bytes]:
-    """Every u in ``group`` with u(α_j) > 0 for each uncrossed j."""
-    keep = list(group)
-    for j in range(1, datum.rank + 1):
-        if j not in crossed:
-            p, q = sign_positions(datum, simple_root_vector(datum, j))
-            keep = [u for u in keep if u[p] < u[q]]
-    return set(keep)
-
-
-def inversion_counter(datum: RootDatum) -> Callable[[bytes], int]:
-    """u ↦ #{β > 0 : u(β) < 0}; for u = w^{-1} that is the inversion set's size, l(w)."""
-    firsts, seconds = zip(*[sign_positions(datum, beta) for beta in positive_root_vectors(datum)])
-    first, second = itemgetter(*firsts), itemgetter(*seconds)
-    return lambda u: sum(map(gt, first(u), second(u)))
 
 
 # --- the per-n context, its rows, and the table ----------------------------

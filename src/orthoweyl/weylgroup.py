@@ -1,5 +1,5 @@
-"""Weyl-group words, their matrix action, inversion sets, and a brute-force
-enumeration oracle for small ranks.
+"""Weyl-group words, the group as signed permutations, the matrix action,
+inversion sets, and a brute-force enumeration oracle for small ranks.
 
 Composition convention.  A word ``(i1, i2, ..., im)`` denotes the product
 ``s_{i1} s_{i2} ... s_{im}``, and the rightmost letter acts first:
@@ -14,6 +14,15 @@ updates from the identity (O(len(word)·k)), ``generator_matrix`` one update.
 rows of ``word_action_matrix``; no weight is reflected letter by letter.
 
 The inverse of a word is its reversal (each generator is an involution).
+
+The package's group model treats W(B_k) and W(D_k) as signed permutations of
+ε_1..ε_k (Björner–Brenti, ch. 8), each u encoded as the 2k bytes f(u(1)), …,
+f(u(k)), f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the
+signed indices as 1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)``
+and a root's sign is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] <
+u[pos(-τb)], and u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte
+of u(x).  The Kostant records and ``verify``'s group rows run on it; the
+ϖ-matrices stay as the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import gt, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +40,7 @@ from .linform import LinearForm
 from .rootsystem import (
     RootDatum,
     Weight,
+    doubled_epsilon,
     positive_root_vectors,
     simple_root_vector,
 )
@@ -230,3 +241,107 @@ def minimal_reps_bruteforce(
             reps.append(tuple(reversed(element.word)))
     reps.sort(key=lambda w: (len(w), w))
     return tuple(reps)
+
+
+# --- the group as byte-encoded signed permutations ----------------------------
+
+#: Entry i is ±m when the element sends ε_{i+1} to ±ε_m.  Details print it decoded.
+SignedPermutation = tuple[int, ...]
+
+
+def generator_permutations(datum: RootDatum) -> tuple[SignedPermutation, ...]:
+    """s_1..s_k as signed permutations, each ε_i reflected in α_j (types B and D)."""
+    k = datum.rank
+    gens = []
+    for j in range(1, k + 1):
+        a = doubled_epsilon(datum, simple_root_vector(datum, j))  # 2α_j
+        norm = sum(x * x for x in a)
+        perm = list(range(1, k + 1))  # s_j fixes each ε_i orthogonal to α_j
+        for i in [i for i, x in enumerate(a) if x]:
+            # s_j(ε_i) = ε_i - (2(ε_i, a)/(a, a))·a, times (a, a): one entry ±(a, a)
+            image = [norm * (m == i) - 2 * a[i] * x for m, x in enumerate(a)]
+            m = next(m for m, x in enumerate(image) if x)
+            perm[i] = m + 1 if image[m] > 0 else -(m + 1)
+        gens.append(tuple(perm))
+    return tuple(gens)
+
+
+def encode(u: SignedPermutation) -> bytes:
+    """The bytes f(u(1)), …, f(u(k)), f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1."""
+    return bytes([x % (2 * len(u) + 1) for x in (*u, *(-x for x in u))])
+
+
+def decode(u: bytes) -> SignedPermutation:
+    """The signed permutation that the bytes ``u`` encode: f^{-1} of its first k bytes."""
+    return tuple([x if 2 * x <= len(u) else x - len(u) - 1 for x in u[: len(u) // 2]])
+
+
+def _position(k: int, x: int) -> int:
+    """The byte that holds u(x), for a signed index x."""
+    return x - 1 if x > 0 else k - x - 1
+
+
+def left_action(datum: RootDatum) -> tuple[bytes, tuple[bytes, ...]]:
+    """The identity's bytes and, per s_j, the table with s_j∘u = u.translate(table)."""
+    ident = encode(tuple(range(1, datum.rank + 1)))
+    return ident, tuple(bytes.maketrans(ident, encode(s)) for s in generator_permutations(datum))
+
+
+def right_gathers(datum: RootDatum) -> list[Callable[[bytes], tuple[int, ...]]]:
+    """Per s_j, the gather with u∘s_j = bytes(gather(u)): pos(x) takes pos(s_j(x))."""
+    k = datum.rank
+    gens = generator_permutations(datum)
+    return [itemgetter(*[_position(k, x) for x in (*s, *(-x for x in s))]) for s in gens]
+
+
+def group_layers(ident: bytes, tables: tuple[bytes, ...]) -> Iterator[list[bytes]]:
+    """The breadth-first layers of the group the ``tables`` generate, layer l the
+    elements of length l in order of discovery.  For involutions u and s∘u lie in
+    adjacent layers, so duplicates are found among layers l-1, l and l+1 alone, and
+    memory follows the largest layer, not the group."""
+    seen, before, layer = {ident}, [], [ident]
+    while layer:
+        yield layer
+        fresh = []
+        for u in layer:
+            for t in tables:
+                v = u.translate(t)
+                if v not in seen:
+                    seen.add(v)
+                    fresh.append(v)
+        seen.difference_update(before)
+        before, layer = layer, fresh
+
+
+def encoded_inverse(ident: bytes, tables: tuple[bytes, ...], word: WeylWord) -> bytes:
+    """w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w, each letter in 1..k."""
+    u = ident
+    for j in word:
+        if not 0 < j <= len(tables):
+            raise IndexRangeError(f"letter {j} outside 1..{len(tables)}")
+        u = u.translate(tables[j - 1])
+    return u
+
+
+def sign_positions(datum: RootDatum, root: tuple[int, ...]) -> tuple[int, int]:
+    """Bytes (p, q) with u(β) > 0 iff u[p] < u[q], for the ϖ-coordinate root β:
+    p = pos(σa), q = pos(-τb) for β = σε_a + τε_b, and q = pos(-σa) for β = σε_a."""
+    signed = [i + 1 if c > 0 else -(i + 1) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
+    return _position(datum.rank, signed[0]), _position(datum.rank, -signed[-1])
+
+
+def minimal_inverses(datum: RootDatum, group: Iterable, crossed: frozenset[int]) -> set[bytes]:
+    """Every u in ``group`` with u(α_j) > 0 for each uncrossed j."""
+    keep = list(group)
+    for j in range(1, datum.rank + 1):
+        if j not in crossed:
+            p, q = sign_positions(datum, simple_root_vector(datum, j))
+            keep = [u for u in keep if u[p] < u[q]]
+    return set(keep)
+
+
+def inversion_counter(datum: RootDatum) -> Callable[[bytes], int]:
+    """u ↦ #{β > 0 : u(β) < 0}; for u = w^{-1} that is the inversion set's size, l(w)."""
+    firsts, seconds = zip(*[sign_positions(datum, beta) for beta in positive_root_vectors(datum)])
+    first, second = itemgetter(*firsts), itemgetter(*seconds)
+    return lambda u: sum(map(gt, first(u), second(u)))

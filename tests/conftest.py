@@ -1,8 +1,11 @@
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -23,6 +26,7 @@ from orthoweyl.orthogroup import (
     MaximalParabolic,
     crossed_simple_roots,
     group_spec,
+    half_positions,
     levi_rho_coefficient,
     nilradical_dim,
     parabolic_choice,
@@ -32,10 +36,11 @@ from orthoweyl.rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
+    doubled_epsilon,
     positive_root_vectors,
     simple_root_vector,
 )
-from orthoweyl.weylgroup import Matrix, inversion_vectors
+from orthoweyl.weylgroup import Matrix, inversion_vectors, word_action_matrix
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,6 +128,80 @@ def reference_record(
         mu_restricted=restrict(g, p, moved - shift).b_coords,
         a_raw=a_raw,
         a_normalized=a_raw / levi_rho_coefficient(g, p),
+        holomorphy_guaranteed=2 * length >= nilradical_dim(g, p),
+        needs_weight_constraint=even_p1 and not excluded,
+        excluded_from_generation=excluded,
+    )
+
+
+# --- the ϖ-matrix reference for the integer records -----------------------------
+
+
+def matrix_record(
+    g: GroupSpec, p: MaximalParabolic, word, lam: Weight | None = None, matrix: Matrix | None = None
+) -> dict:
+    """Every field of the :class:`KostantRecord` of ``word``, integer rows and
+    denominators included, from its ϖ-action matrix M: ``word_action_matrix``,
+    or ``matrix`` when the caller has it.
+
+    den·w(λ+ρ) is M applied to the integer columns of den·(λ+ρ): the constant
+    column and one column per variable.  w is in W^P iff M·(1, …, 1) = wρ is
+    positive at every uncrossed node, and l(w) counts the positive roots
+    ε_i - ε_j, ε_i + ε_j (i < j) and, for B_k, ε_i on which wρ is negative.  The
+    split is written out from ``half_positions``.
+    """
+    datum, k = g.datum, g.k
+    m = word_action_matrix(datum, word) if matrix is None else matrix
+    (crossed,) = crossed_simple_roots(g, p)
+    w_rho = [sum(row) for row in m]
+    bad = [j for j in range(1, k + 1) if j != crossed and w_rho[j - 1] <= 0]
+    if bad:
+        raise NotCosetRepresentativeError(
+            f"word {tuple(word)} is not minimal for the parabolic (fails at α_{bad[0]})"
+        )
+    x = doubled_epsilon(datum, w_rho)  # 2wρ in ε-coordinates
+    length = sum((a < b) + (a + b < 0) for a, b in combinations(x, 2))
+    if datum.kind is DynkinKind.B:
+        length += sum(1 for a in x if a < 0)
+    lam = Weight.symbolic(k) if lam is None else lam
+    coords = lam.coords
+    den = math.lcm(
+        *(f.constant.denominator for f in coords),
+        *(c.denominator for f in coords for _, c in f.coeffs),
+    )
+    variables = sorted({c for f in coords for c, _ in f.coeffs})
+    columns = [[int((f.constant + 1) * den) for f in coords], *([0] * k for _ in variables)]
+    for i, f in enumerate(coords):
+        for v, s in f.coeffs:
+            columns[1 + variables.index(v)][i] = int(s * den)
+    m_cols = list(zip(*m))
+
+    def times_m(col):  # M·col, summed over the nonzero entries of col
+        out = [0] * k
+        for i, s in enumerate(col):
+            if s:
+                out = [o + s * y for o, y in zip(out, m_cols[i])]
+        return out
+
+    rows = list(zip(*map(times_m, columns)))  # row r: constant, then each variable
+
+    def form(values):
+        return values[0], tuple((v, x) for v, x in zip(variables, values[1:]) if x)
+
+    halves = half_positions(g, p)
+    weights = [-1 if i in halves else -2 for i in range(1, k + 1)]
+    a_row = [sum(map(mul, weights, column)) for column in zip(*rows)]
+    even_p1 = not g.is_odd and p is MaximalParabolic.P1
+    excluded = even_p1 and length == k - 1
+    return dict(
+        word=tuple(word),
+        length=length,
+        nvars=coords[0].nvars,
+        mu_rows=tuple(form([r[0] - den, *r[1:]]) for i, r in enumerate(rows) if i != crossed - 1),
+        mu_den=den,
+        a_row=form(a_row),
+        a_raw_den=2 * den,
+        a_den=den * int(2 * levi_rho_coefficient(g, p)),
         holomorphy_guaranteed=2 * length >= nilradical_dim(g, p),
         needs_weight_constraint=even_p1 and not excluded,
         excluded_from_generation=excluded,

@@ -3,12 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import diagram, reference_record
+from conftest import diagram, matrix_record, reference_record
 from orthoweyl.eisenstein import (
     degree_support,
     evaluation_coefficient,
     full_report,
     holomorphy_guaranteed,
+    iter_records,
     kostant_record,
     kostant_restriction,
     parabolic_report,
@@ -16,6 +17,7 @@ from orthoweyl.eisenstein import (
 )
 from orthoweyl.errors import (
     DimensionError,
+    IndexRangeError,
     NotCosetRepresentativeError,
     OrthoweylError,
     RegularityError,
@@ -24,6 +26,7 @@ from orthoweyl.hasse import HasseNode, build_hasse
 from orthoweyl.linform import LinearForm
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import Weight
+from orthoweyl.weylgroup import identity_matrix, times_generator
 
 P1, P2 = MaximalParabolic.P1, MaximalParabolic.P2
 
@@ -49,6 +52,16 @@ def test_kostant_row_second_parabolic():
         sym(4, 2, 3, const=1),
         sym(4, 4),
     )
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("letter", [0, -1, "k+1"])
+@pytest.mark.parametrize("read", [kostant_record, kostant_restriction, evaluation_coefficient])
+def test_letters_outside_the_rank_are_refused(read, letter, n):
+    g = group_spec(n)
+    letter = g.k + 1 if letter == "k+1" else letter
+    with pytest.raises(IndexRangeError, match=rf"^letter {letter} outside 1\.\.{g.k}$"):
+        read(g, P1, (letter,))
 
 
 def test_kostant_rejects_non_representative():
@@ -183,6 +196,11 @@ def test_antipodal_antisymmetry_sample():
             assert evaluation_coefficient(g, p, top.word) == -evaluation_coefficient(g, p, ())
 
 
+def numeric_weight(k):
+    """Regular constant coordinates over the denominator 12."""
+    return Weight.from_constants([Q(2 * i + 1, 3 + i % 2) for i in range(k)], k)
+
+
 def mixed_weight(k):
     """Symbolic, constant and multi-variable coordinates over the denominator 30."""
     coords = []
@@ -207,10 +225,9 @@ def assert_same_record(rec, ref):
 def test_walk_records_equal_word_replay(n):
     # walk records and kostant_record against the LinearForm reference, field by field
     g = group_spec(n)
-    numeric = Weight.from_constants([Q(2 * i + 1, 3 + i % 2) for i in range(g.k)], g.k)
     for p in (P1, P2):
         h = diagram(n, p)
-        for lam in (None, Weight.symbolic(g.k), numeric, mixed_weight(g.k)):
+        for lam in (None, Weight.symbolic(g.k), numeric_weight(g.k), mixed_weight(g.k)):
             records = parabolic_report(g, p, lam, h).records
             assert len(records) == len(h.nodes)
             for node, rec in zip(h.nodes, records):
@@ -272,3 +289,52 @@ def test_regular_weight():
         regular_weight(g, [1, 1, -1, 1])
     with pytest.raises(DimensionError):
         regular_weight(g, [1, 1, 1])
+
+
+# --- the records against the ϖ-matrix reference, integers included ---
+
+
+def integer_fields(rec):
+    return {field.name: getattr(rec, field.name) for field in fields(rec)}
+
+
+def walk_matrices(datum, nodes):
+    """``word_action_matrix`` of each node's word, each from its parent's by one
+    column update (``times_generator``): O(k) per node, not a fold per word."""
+    cols = {(): identity_matrix(datum.rank)}
+    for node in nodes:
+        if node.word not in cols:
+            cols[node.word] = times_generator(datum, cols[node.word[:-1]], node.word[-1])
+        yield tuple(zip(*cols[node.word]))
+
+
+def assert_records_equal_matrix_reference(n, lam):
+    g = group_spec(n)
+    ref_lam = Weight.symbolic(g.k) if lam is None else lam
+    for p in (P1, P2):
+        nodes = diagram(n, p).nodes
+        want = [
+            matrix_record(g, p, node.word, ref_lam, m)
+            for node, m in zip(nodes, walk_matrices(g.datum, nodes))
+        ]
+        assert [integer_fields(rec) for rec in iter_records(g, p, lam, diagram(n, p))] == want
+        # kostant_record builds each u from its word, the reference each matrix from its
+        # word: every node up to n = 13, then a spread
+        step = 1 if n <= 13 else max(1, len(nodes) // 20)
+        for node, ref in zip(nodes[::step] + nodes[-1:], want[::step] + want[-1:]):
+            assert matrix_record(g, p, node.word, lam) == ref, (p, node.word)
+            assert integer_fields(kostant_record(g, p, node.word, lam)) == ref, (p, node.word)
+
+
+@pytest.mark.parametrize("n", range(5, 42))
+def test_records_equal_matrix_reference_symbolic(n):
+    assert_records_equal_matrix_reference(n, None)
+
+
+@pytest.mark.parametrize("n", [5, 6, 13, 14, 40, 41])
+@pytest.mark.parametrize("kind", ["numeric", "mixed"])
+def test_records_equal_matrix_reference_numeric_and_mixed(n, kind):
+    k = group_spec(n).k
+    lam = numeric_weight(k) if kind == "numeric" else mixed_weight(k)
+    assert 1 < max(f.constant.denominator for f in lam.coords)
+    assert_records_equal_matrix_reference(n, lam)

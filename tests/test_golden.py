@@ -25,7 +25,10 @@ before every JSON document was streamed to its destination in bounded
 batches; and of ``report --n 101`` (text and json) and ``kostant`` and
 ``lambdaw --n 41 --parabolic P2`` (json and csv), as produced before every
 record became integer rows rendered as the walk yields them and text
-``report`` stopped building records.  Its ``demos`` entry is checked in
+``report`` stopped building records; and of ``kostant --n 42`` (P2 symbolic,
+P1 numeric) and numeric ``lambdaw --n 41 --parabolic P2`` (json), the first to
+cover D_k records above n = 10 and numeric λ above n = 17, as produced before
+every record was read from w⁻¹ as a signed permutation.  Its ``demos`` entry is checked in
 ``test_demos.py``.
 """
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import orthoweyl.eisenstein as eisenstein
 import orthoweyl.orthogroup as orthogroup
 import orthoweyl.verification as verification
+import orthoweyl.weylgroup as weylgroup
 from conftest import diagram
 from orthoweyl.cli import main
 from orthoweyl.errors import OrthoweylError
@@ -18,20 +19,10 @@ from orthoweyl.linform import LinearForm
 from orthoweyl.verification import (
     PARABOLICS,
     CheckResult,
-    decode,
-    encode,
-    encoded_inverse,
     expected_coset_count,
     expected_group_order,
     format_results,
-    generator_permutations,
-    group_layers,
-    inversion_counter,
-    left_action,
-    minimal_inverses,
-    right_gathers,
     run_verification,
-    sign_positions,
 )
 from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec, restrict
 from orthoweyl.rootsystem import (
@@ -43,11 +34,21 @@ from orthoweyl.rootsystem import (
     positive_root_vectors,
 )
 from orthoweyl.weylgroup import (
+    decode,
+    encode,
+    encoded_inverse,
     enumerate_group,
     generator_matrix,
+    generator_permutations,
+    group_layers,
+    inversion_counter,
     inversion_vectors,
+    left_action,
     mat_vec,
+    minimal_inverses,
     minimal_reps_bruteforce,
+    right_gathers,
+    sign_positions,
     word_action_matrix,
 )
 
@@ -377,13 +378,13 @@ def test_oracle_failure_is_reported(monkeypatch):
 def test_group_order_failure_is_reported(monkeypatch):
     import orthoweyl.verification as verification
 
-    original = verification.generator_permutations
+    original = weylgroup.generator_permutations
 
     def one_wrong(datum):
         gens = original(datum)
         return (tuple(range(1, datum.rank + 1)),) + gens[1:]
 
-    monkeypatch.setattr(verification, "generator_permutations", one_wrong)
+    monkeypatch.setattr(weylgroup, "generator_permutations", one_wrong)
     row = next(r for r in verification.run_verification(5) if r.check == "group-order")
     assert row.status == "FAIL"
     assert row.detail.endswith("!= 48")
@@ -530,7 +531,7 @@ def test_streamed_oracle_peak_is_under_half_the_closure():
 
 @pytest.mark.parametrize("n", [5, 6, 10])
 def test_tables_that_are_not_involutions_end_in_a_fail_row(monkeypatch, n):
-    original = verification.generator_permutations
+    original = weylgroup.generator_permutations
 
     def cycled(datum):
         # s1 becomes ε_1 → ε_2 → … → ε_k → ε_1, of order k: u and s1∘u may lie
@@ -538,7 +539,7 @@ def test_tables_that_are_not_involutions_end_in_a_fail_row(monkeypatch, n):
         k = datum.rank
         return (tuple(range(2, k + 1)) + (1,),) + original(datum)[1:]
 
-    monkeypatch.setattr(verification, "generator_permutations", cycled)
+    monkeypatch.setattr(weylgroup, "generator_permutations", cycled)
     rows = {r.check: r for r in run_verification(n) if r.n == n}
     assert rows["group-order"].status == "FAIL"
     assert rows["group-order"].detail.endswith(f" != {expected_group_order(group_spec(n))}")

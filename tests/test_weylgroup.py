@@ -12,10 +12,12 @@ from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import DynkinKind, Weight, make_datum
 from orthoweyl.weylgroup import (
     apply_word,
+    encoded_inverse,
     enumerate_group,
     generator_matrix,
     identity_matrix,
     inversion_vectors,
+    left_action,
     minimal_reps_bruteforce,
     render_word,
     times_generator,
@@ -229,3 +231,13 @@ def test_word_action_matrix_on_every_walk_word(n):
         for node in build_hasse(parabolic_choice(g, p)).nodes:
             want = _reference_word_matrix(g.datum, node.word)
             assert word_action_matrix(g.datum, node.word) == want
+
+
+@pytest.mark.parametrize("datum", [B3, D4], ids=repr)
+@pytest.mark.parametrize("letter", [0, -1, "k+1"])
+def test_encoded_inverse_refuses_letters_outside_the_rank(datum, letter):
+    # tables[j - 1] would read tables[-1] for the letter 0 and s_k would act unseen
+    letter = datum.rank + 1 if letter == "k+1" else letter
+    ident, tables = left_action(datum)
+    with pytest.raises(IndexRangeError, match=rf"^letter {letter} outside 1\.\.{datum.rank}$"):
+        encoded_inverse(ident, tables, (1, letter))
