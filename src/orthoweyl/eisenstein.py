@@ -171,7 +171,7 @@ def kostant_record(
 ) -> KostantRecord:
     """Record of one word, its u = w⁻¹ from :func:`encoded_inverse`; checks that it is in W^P."""
     u = encoded_inverse(*left_action(g.datum), word)
-    return _read_record(g, p, word, u, _ShiftedWeight(g.datum, _symbolic_or_given(g, lam)))
+    return _read_record(g, p, word, u, _ShiftedWeight(g, p, _symbolic_or_given(g, lam)))
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def _length_of(datum: RootDatum, x: Sequence[int]) -> int:
 
 
 class _ShiftedWeight(dict):
-    """λ+ρ for the records of one datum, as integers over one denominator ``den``.
+    """λ+ρ for the records of one parabolic, as integers over one denominator ``den``.
 
     ``const`` is den·(λ+ρ)'s constant column in ϖ-coordinates.  ``eps[b]`` is
     den·2(λ+ρ) at the ε-coordinate of byte b's signed index, as the tuple
@@ -286,11 +286,13 @@ class _ShiftedWeight(dict):
     there.  ``positions[r]`` are the two bytes of u that name row r+1.  As a
     dict, it maps each pair of bytes (x, y) to the 𝔟-row den·((E[x] - E[y])/2 - 1)
     of :class:`KostantRecord`, built at its first read and kept until the table
-    is emptied.
+    is emptied.  The Levi split is read once, here: :func:`_levi_split`'s ``crossed``
+    and ``rho_a``, and :func:`_gathers`' ``firsts``, ``seconds`` and ``a_terms``.
     """
 
-    def __init__(self, datum: RootDatum, lam: Weight):
+    def __init__(self, g: GroupSpec, p: MaximalParabolic, lam: Weight):
         super().__init__()
+        datum = g.datum
         coords = lam.coords
         self.nvars = coords[0].nvars
         if any(f.nvars != self.nvars for f in coords):
@@ -313,6 +315,8 @@ class _ShiftedWeight(dict):
         self.rho = [0, *rho, *map(neg, reversed(rho))]
         alphas = (simple_root_vector(datum, r) for r in range(1, datum.rank + 1))
         self.positions = tuple(sign_positions(datum, alpha) for alpha in alphas)
+        self.crossed, b_rows, a_weights, self.rho_a = _levi_split(g, p)
+        self.firsts, self.seconds, self.a_terms = _gathers(self.positions, b_rows, a_weights)
 
     def __missing__(self, pair: tuple[int, int]) -> IntegerForm:
         constant, *coeffs = [(x - y) // 2 for x, y in zip(self.eps[pair[0]], self.eps[pair[1]])]
@@ -345,7 +349,6 @@ def _levi_split(
     return crossed, b_rows, a_weights, int(2 * levi_rho_coefficient(g, p))
 
 
-@lru_cache(maxsize=None)
 def _gathers(
     positions: tuple[tuple[int, int], ...], b_rows: tuple[int, ...], a_weights: tuple[int, ...]
 ) -> tuple[Callable[[bytes], tuple[int, ...]], Callable[[bytes], tuple[int, ...]], tuple]:
@@ -372,7 +375,7 @@ def _read_record(
     uncrossed j.  The 𝔟-rows come from ``lam``'s table, one per byte pair, and
     the 𝔞-row is ``a_weights`` applied to the rows, gathered by byte.
     """
-    crossed, b_rows, a_weights, rho_a = _levi_split(g, p)
+    crossed = lam.crossed
     x = [lam.rho[b] for b in u[: g.k]]  # 2wρ in ε-coordinates
     w_rho = _eps_to_weight_vector(g.datum, x)
     if min(w_rho[: crossed - 1] + w_rho[crossed:], default=1) <= 0:
@@ -381,10 +384,9 @@ def _read_record(
             f"word {word} is not minimal for the parabolic (fails at α_{j})"
         )
     length = _length_of(g.datum, x)
-    firsts, seconds, a_terms = _gathers(lam.positions, b_rows, a_weights)
-    mu = tuple(map(lam.__getitem__, zip(firsts(u), seconds(u))))
+    mu = tuple(map(lam.__getitem__, zip(lam.firsts(u), lam.seconds(u))))
     total = [0] * (len(lam.variables) + 1)
-    for pos, weight in a_terms:
+    for pos, weight in lam.a_terms:
         total = [t + weight * e for t, e in zip(total, lam.eps[u[pos]])]
     constant, *coeffs = [t // 2 for t in total]  # den·(𝔞-row) = 2·den·a_raw
     a_row = _integer_form(lam.variables, constant, coeffs)
@@ -398,7 +400,7 @@ def _read_record(
         mu_den=lam.den,
         a_row=a_row,
         a_raw_den=2 * lam.den,
-        a_den=lam.den * rho_a,
+        a_den=lam.den * lam.rho_a,
         holomorphy_guaranteed=2 * length >= nilradical_dim(g, p),
         needs_weight_constraint=even_p1 and not excluded,
         excluded_from_generation=excluded,
@@ -455,7 +457,7 @@ def iter_records(
     """
     if diagram is None:
         diagram = build_hasse(parabolic_choice(g, p))
-    return _walk_records(g, p, diagram, _ShiftedWeight(g.datum, _symbolic_or_given(g, lam)))
+    return _walk_records(g, p, diagram, _ShiftedWeight(g, p, _symbolic_or_given(g, lam)))
 
 
 def parabolic_summary(

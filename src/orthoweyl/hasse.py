@@ -24,20 +24,24 @@ For a node w with weight x and a positive root β, the weight
 ``t = s_{w(β)}``, and every reflection t arises this way.  Deodhar's
 projection W → W^P preserves the Bruhat order (Björner–Brenti, *Combinatorics
 of Coxeter Groups*, §2.5), so a pair whose lengths differ by one is a cover
-in W^P, and every cover t·w ∈ W^P is found.
+in W^P, and every cover t·w ∈ W^P is found.  In ε-coordinates s_β is a
+signed transposition (ibid., ch. 8): for β = ε_i − s·ε_j it puts s·x_j at i
+and s·x_i at j, and the short root ε_i of B_k negates x_i, so only the roots
+that touch a nonzero x_i can move x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import IndexRangeError, OrthoweylError
 from .rootsystem import (
+    DynkinKind,
     RootDatum,
     Weight,
-    positive_coroot_vectors,
-    positive_root_vectors,
+    _eps_to_weight_vector,
+    doubled_epsilon,
     reflect_vector,
 )
 from .weylgroup import WeylWord
@@ -144,34 +148,44 @@ def length_histogram(h: HasseDiagram) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _reflections(x: Sequence[int], short: bool) -> Iterator[tuple[int, ...]]:
+    """Every ``s_β(x) ≠ x``, x in ε-coordinates, β in the order of ``_eps_positive_roots``."""
+    support = [i for i, v in enumerate(x) if v]
+    for i, xi in enumerate(x):
+        for j in range(i + 1, len(x)) if xi else [j for j in support if j > i]:
+            for s in (1, -1):  # β = ε_i - s·ε_j
+                if s * x[j] != xi:
+                    yield (*x[:i], s * x[j], *x[i + 1 : j], s * xi, *x[j + 1 :])
+    for i in support if short else ():
+        yield (*x[:i], -x[i], *x[i + 1 :])
+
+
 def with_bruhat_covers(h: HasseDiagram) -> HasseDiagram:
     """Fill in the full Bruhat cover relation on W^P from the orbit weights.
 
-    For every node w with weight x and every positive root β with
-    ``c = ⟨x, β^∨⟩ ≠ 0``, the weight ``x − c·β`` is the node of the coset of
-    ``w·s_β``; the pair is a cover iff that node is one length higher (see
-    the module docstring for why this is the whole relation).  Every walk
+    Each node is keyed by its weight x in doubled ε-coordinates.  For every
+    positive root β that moves x, ``s_β(x)`` is the key of the node of the
+    coset of ``w·s_β``; the pair is a cover iff that node is one length higher
+    (see the module docstring for why this is the whole relation).  Every walk
     edge is such a cover, and the completed relation may be strictly larger.
     A reflected weight that is not a node means the diagram is not a closed
     orbit, and raises :class:`OrthoweylError`; so does a walk edge that is not
     a cover, as when a node's stored length is wrong.
     """
     datum = h.parabolic.datum
-    roots = tuple(zip(positive_root_vectors(datum), positive_coroot_vectors(datum)))
-    index = {node.weight: node for node in h.nodes}
+    keys = [tuple(doubled_epsilon(datum, node.weight)) for node in h.nodes]
+    index = dict(zip(keys, h.nodes))
     # Found from scratch, not seeded with the walk edges: that the walk edges
     # reappear here is a checked invariant, not a construction artifact.
     covers = set()
-    for node in h.nodes:
-        x = node.weight
-        for beta, coroot in roots:
-            c = sum(map(mul, x, coroot))
-            if c == 0:
-                continue
-            y = tuple(xi - c * bi for xi, bi in zip(x, beta))
+    for node, x in zip(h.nodes, keys):
+        for y in _reflections(x, datum.kind is DynkinKind.B):
             target = index.get(y)
             if target is None:
-                raise OrthoweylError(f"orbit not closed: reflecting {x} gives {y}, not a node")
+                y = tuple(c // 2 for c in _eps_to_weight_vector(datum, y))  # ϖ-coordinates
+                raise OrthoweylError(
+                    f"orbit not closed: reflecting {node.weight} gives {y}, not a node"
+                )
             if target.length == node.length + 1:
                 covers.add((node.id, target.id))
     if not {(a, b) for a, b, _ in h.algo_edges} <= covers:

@@ -41,7 +41,6 @@ __all__ = [
     "cartan_matrix",
     "rho",
     "positive_root_vectors",
-    "positive_coroot_vectors",
 ]
 
 
@@ -175,6 +174,7 @@ def _check_letter(datum: RootDatum, j: int) -> None:
 
 def reflect_vector(datum: RootDatum, j: int, vec: Sequence[int]) -> tuple[int, ...]:
     """Apply s_j to an integer ϖ-coordinate vector: ``c_i -> c_i - c_j * <α_j, α_i^∨>``."""
+    _check_letter(datum, j)
     cj = vec[j - 1]
     if cj == 0:
         return tuple(vec)
@@ -249,21 +249,3 @@ def doubled_epsilon(datum: RootDatum, vec: Sequence[int]) -> list[int]:
 def positive_root_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Positive roots as integer ϖ-coordinate vectors."""
     return tuple(_eps_to_weight_vector(datum, b) for b in _eps_positive_roots(datum))
-
-
-@lru_cache(maxsize=None)
-def positive_coroot_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Positive coroots β^∨ as integer vectors m with ``<x, β^∨> = Σ_i x_i·m_i``.
-
-    For x in ϖ-coordinates ``m_i = <ϖ_i, β^∨> = 2(ϖ_i, β)/(β, β)``.  One vector
-    per positive root, in the order of :func:`positive_root_vectors`.
-    """
-    k = datum.rank
-    doubled = [doubled_epsilon(datum, [int(r == i) for r in range(k)]) for i in range(k)]
-    out = []
-    for beta in _eps_positive_roots(datum):
-        norm = sum(b * b for b in beta)
-        pairings = [sum(w * b for w, b in zip(row, beta)) for row in doubled]
-        assert all(x % norm == 0 for x in pairings)
-        out.append(tuple(x // norm for x in pairings))
-    return tuple(out)

@@ -162,8 +162,8 @@ def inversion_vectors(datum: RootDatum, word: Sequence[int]) -> frozenset[tuple[
 
 
 def word_length(datum: RootDatum, word: Sequence[int]) -> int:
-    """Coxeter length of the element, |Φ_w|; equals len(word) iff reduced."""
-    return len(inversion_vectors(datum, word))
+    """Coxeter length |Φ_w|, the inversion count of w^{-1}; equals len(word) iff reduced."""
+    return inversion_counter(datum)(encoded_inverse(*left_action(datum), word))
 
 
 def _guard_rank(datum: RootDatum) -> None:
@@ -340,6 +340,7 @@ def minimal_inverses(datum: RootDatum, group: Iterable, crossed: frozenset[int])
     return set(keep)
 
 
+@lru_cache(maxsize=None)
 def inversion_counter(datum: RootDatum) -> Callable[[bytes], int]:
     """u ↦ #{β > 0 : u(β) < 0}; for u = w^{-1} that is the inversion set's size, l(w)."""
     firsts, seconds = zip(*[sign_positions(datum, beta) for beta in positive_root_vectors(datum)])

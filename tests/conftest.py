@@ -36,6 +36,7 @@ from orthoweyl.rootsystem import (
     DynkinKind,
     RootDatum,
     Weight,
+    _eps_positive_roots,
     doubled_epsilon,
     positive_root_vectors,
     simple_root_vector,
@@ -79,6 +80,28 @@ def reflect_word(datum: RootDatum, word, w: Weight) -> Weight:
     for j in reversed(word):
         w = simple_reflection(datum, j, w)
     return w
+
+
+def literal_doubled_fundamentals(datum: RootDatum) -> list[list[int]]:
+    """Hand-written rows 2ϖ_i in ε-coordinates, i = 1..k."""
+    k = datum.rank
+    doubled = [[2 if r <= i else 0 for r in range(k)] for i in range(k)]
+    doubled[k - 1] = [1] * k
+    if datum.kind is DynkinKind.D:
+        doubled[k - 2] = [1] * (k - 1) + [-1]
+    return doubled
+
+
+def literal_coroot_vectors(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Positive coroots β^∨ as integer vectors m with ``<x, β^∨> = Σ_i x_i·m_i`` for x in
+    ϖ-coordinates, from :func:`literal_doubled_fundamentals`: ``m_i = 2(ϖ_i, β)/(β, β)``.
+    One vector per positive root, in the order of ``positive_root_vectors``."""
+    doubled = literal_doubled_fundamentals(datum)
+    out = []
+    for beta in _eps_positive_roots(datum):
+        norm = sum(b * b for b in beta)
+        out.append(tuple(sum(w * b for w, b in zip(row, beta)) // norm for row in doubled))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import diagram, matrix_record, reference_record
+from orthoweyl import eisenstein
 from orthoweyl.eisenstein import (
     degree_support,
     evaluation_coefficient,
@@ -249,6 +250,22 @@ def test_walk_records_other_weights_match_replay():
         parabolic_report(g, P2, Weight.symbolic(3))
     with pytest.raises(DimensionError):
         parabolic_report(g, P2, Weight((sym(4, 1), lf(3, 1), lf(4, 2), lf(4, 3))))
+
+
+@pytest.mark.parametrize("p", [P1, P2], ids=lambda p: p.name)
+def test_levi_split_is_read_once_per_walk(monkeypatch, p):
+    split, calls = eisenstein._levi_split, []
+
+    def counted(g, p):
+        calls.append(g.n)
+        return split(g, p)
+
+    monkeypatch.setattr(eisenstein, "_levi_split", counted)
+    g = group_spec(9)
+    assert len(list(iter_records(g, p))) == len(diagram(9, p).nodes) > 1
+    assert calls == [9]
+    kostant_record(g, p, diagram(9, p).nodes[-1].word)
+    assert calls == [9, 9]
 
 
 def test_reference_rejects_what_the_reader_rejects():

@@ -28,8 +28,10 @@ record became integer rows rendered as the walk yields them and text
 ``report`` stopped building records; and of ``kostant --n 42`` (P2 symbolic,
 P1 numeric) and numeric ``lambdaw --n 41 --parabolic P2`` (json), the first to
 cover D_k records above n = 10 and numeric λ above n = 17, as produced before
-every record was read from w⁻¹ as a signed permutation.  Its ``demos`` entry is checked in
-``test_demos.py``.
+every record was read from w⁻¹ as a signed permutation; and of ``hasse --n 41`` and
+``--n 42`` with ``--covers`` (P2 json at both, P1 dot at 42), the first covers above
+n = 21, as produced before the covers moved from ϖ-coordinate coroots to signed
+transpositions of ε-coordinates.  Its ``demos`` entry is checked in ``test_demos.py``.
 """
 
 import hashlib

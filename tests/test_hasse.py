@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat_mul, to_epsilon
+from conftest import literal_coroot_vectors, mat_mul, to_epsilon
 from orthoweyl.errors import OrthoweylError
 from orthoweyl.hasse import (
     HasseDiagram,
@@ -340,6 +340,34 @@ def _matrix_covers(h: HasseDiagram) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(covers))
 
 
+def _coroot_covers(h: HasseDiagram) -> HasseDiagram:
+    """The covers as the package computed them in ϖ-coordinates, with the reference coroots.
+
+    For every node x and positive root β with ``c = <x, β^∨> ≠ 0``, the node
+    ``x − c·β`` is a cover when one length higher; the same errors as
+    :func:`with_bruhat_covers`.
+    """
+    datum = h.parabolic.datum
+    roots = tuple(zip(positive_root_vectors(datum), literal_coroot_vectors(datum)))
+    index = {node.weight: node for node in h.nodes}
+    covers = set()
+    for node in h.nodes:
+        x = node.weight
+        for beta, coroot in roots:
+            c = sum(a * b for a, b in zip(x, coroot))
+            if c == 0:
+                continue
+            y = tuple(xi - c * bi for xi, bi in zip(x, beta))
+            target = index.get(y)
+            if target is None:
+                raise OrthoweylError(f"orbit not closed: reflecting {x} gives {y}, not a node")
+            if target.length == node.length + 1:
+                covers.add((node.id, target.id))
+    if not {(a, b) for a, b, _ in h.algo_edges} <= covers:
+        raise OrthoweylError("walk edge missing from covers")
+    return replace(h, cover_edges=tuple(sorted(covers)))
+
+
 def _choices(ns):
     for n in ns:
         g = group_spec(n)
@@ -353,21 +381,54 @@ def test_covers_equal_matrix_method():
         assert h.cover_edges == _matrix_covers(h), (n, p)
 
 
+def test_covers_equal_coroot_reference():
+    for n, p, choice in _choices(range(5, 42)):
+        h = build_hasse(choice)
+        assert with_bruhat_covers(h) == _coroot_covers(h), (n, p)
+
+
+@pytest.mark.parametrize(
+    "datum", [B3, B4, make_datum(DynkinKind.B, 5), D4, make_datum(DynkinKind.D, 5)], ids=repr
+)
+def test_covers_equal_coroot_reference_at_every_crossing(datum):
+    # every crossed set, the spin nodes' dense weights included
+    k = datum.rank
+    for mask in range(1 << k):
+        choice = ParabolicChoice(datum, frozenset(j for j in range(1, k + 1) if mask >> (j - 1) & 1))
+        h = build_hasse(choice)
+        assert with_bruhat_covers(h) == _coroot_covers(h), choice.crossed
+
+
+def _without_node(h: HasseDiagram, index: int) -> HasseDiagram:
+    dropped = h.nodes[index].id
+    return replace(
+        h,
+        nodes=tuple(node for node in h.nodes if node.id != dropped),
+        algo_edges=tuple(e for e in h.algo_edges if dropped not in e[:2]),
+    )
+
+
+@pytest.mark.parametrize("choice", [P2_B3, P2_D4, ParabolicChoice(B4, frozenset({4}))], ids=repr)
+def test_orbit_not_closed_names_the_weights_as_the_reference(choice):
+    # the first reflected weight that is not a node, both weights in ϖ-coordinates
+    h = build_hasse(choice)
+    for index in range(1, len(h.nodes)):
+        broken = _without_node(h, index)
+        with pytest.raises(OrthoweylError, match="orbit not closed") as want:
+            _coroot_covers(broken)
+        with pytest.raises(OrthoweylError, match="orbit not closed") as got:
+            with_bruhat_covers(broken)
+        assert str(got.value) == str(want.value)
+
+
 def test_walk_equals_inversion_set_walk():
     for n, p, choice in _choices(range(5, 32)):
         assert build_hasse(choice) == _inversion_set_walk(choice), (n, p)
 
 
 def test_covers_refuse_an_orbit_with_a_node_missing():
-    h = build_hasse(P2_D4)
-    dropped = h.nodes[5].id
-    broken = replace(
-        h,
-        nodes=tuple(node for node in h.nodes if node.id != dropped),
-        algo_edges=tuple(e for e in h.algo_edges if dropped not in e[:2]),
-    )
     with pytest.raises(OrthoweylError, match="orbit not closed"):
-        with_bruhat_covers(broken)
+        with_bruhat_covers(_without_node(build_hasse(P2_D4), 5))
 
 
 def test_covers_refuse_a_walk_edge_that_is_not_a_cover():

@@ -3,16 +3,21 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import from_epsilon, simple_reflection, to_epsilon
-from orthoweyl.errors import UnsupportedKindError, UnsupportedRankError
+from conftest import (
+    from_epsilon,
+    literal_coroot_vectors,
+    literal_doubled_fundamentals,
+    simple_reflection,
+    to_epsilon,
+)
+from orthoweyl.errors import IndexRangeError, UnsupportedKindError, UnsupportedRankError
 from orthoweyl.rootsystem import (
     DynkinKind,
     Weight,
-    _eps_positive_roots,
     doubled_epsilon,
     make_datum,
-    positive_coroot_vectors,
     positive_root_vectors,
+    reflect_vector,
     rho,
 )
 
@@ -91,7 +96,7 @@ def test_simple_roots_are_cartan_rows():
 def test_reflection_permutes_positive_roots(datum):
     # s_j negates α_j and permutes the remaining positive roots
     vectors = set(positive_root_vectors(datum))
-    from orthoweyl.rootsystem import reflect_vector, simple_root_vector
+    from orthoweyl.rootsystem import simple_root_vector
 
     for j in range(1, datum.rank + 1):
         alpha = simple_root_vector(datum, j)
@@ -136,15 +141,20 @@ def test_half_sum_of_positive_roots_is_rho():
         assert [t / 2 for t in total] == [1] * datum.rank
 
 
-@pytest.mark.parametrize(
-    "datum", [B3, D4, make_datum(DynkinKind.B, 6), make_datum(DynkinKind.D, 7)]
-)
+# B3..B12 and D4..D12; the first four keep their ids datum0..datum3
+COROOT_DATA = [B3, D4, make_datum(DynkinKind.B, 6), make_datum(DynkinKind.D, 7)]
+COROOT_DATA += [make_datum(DynkinKind.B, k) for k in (4, 5, 7, 8, 9, 10, 11, 12)]
+COROOT_DATA += [make_datum(DynkinKind.D, k) for k in (5, 6, 8, 9, 10, 11, 12)]
+
+
+@pytest.mark.parametrize("datum", COROOT_DATA)
 def test_coroots_pair_as_two_beta_over_norm(datum):
-    # <ϖ_i, β^∨> = 2(ϖ_i, β)/(β, β), computed here with exact ε-coordinates
+    # The reference coroot table: <ϖ_i, β^∨> = 2(ϖ_i, β)/(β, β), computed here with
+    # exact ε-coordinates
     k = datum.rank
     fund = [to_epsilon(datum, fundamental(datum, i)).coords for i in range(1, k + 1)]
     roots = positive_root_vectors(datum)
-    coroots = positive_coroot_vectors(datum)
+    coroots = literal_coroot_vectors(datum)
     assert len(coroots) == len(roots)
     for beta, coroot in zip(roots, coroots):
         eps = [c.constant for c in to_epsilon(datum, Weight.from_constants(beta)).coords]
@@ -154,27 +164,24 @@ def test_coroots_pair_as_two_beta_over_norm(datum):
         assert sum(b * c for b, c in zip(beta, coroot)) == 2
 
 
-def _literal_coroot_vectors(datum):
-    """Coroots from hand-written rows 2ϖ_i in ε-coordinates."""
-    k = datum.rank
-    doubled = [[2 if r <= i else 0 for r in range(k)] for i in range(k)]
-    doubled[k - 1] = [1] * k
-    if datum.kind is DynkinKind.D:
-        doubled[k - 2] = [1] * (k - 1) + [-1]
-    out = []
-    for beta in _eps_positive_roots(datum):
-        norm = sum(b * b for b in beta)
-        out.append(tuple(sum(w * b for w, b in zip(row, beta)) // norm for row in doubled))
-    return tuple(out)
-
-
 @pytest.mark.parametrize(
     "kind, k",
     [(DynkinKind.B, k) for k in range(3, 13)] + [(DynkinKind.D, k) for k in range(4, 13)],
 )
 def test_coroot_vectors_equal_literal_rows(kind, k):
+    # the reference coroot table's hand-written rows 2ϖ_i are doubled_epsilon's, which
+    # keys the Bruhat covers
     datum = make_datum(kind, k)
-    assert positive_coroot_vectors(datum) == _literal_coroot_vectors(datum)
+    doubled = [doubled_epsilon(datum, [int(r == i) for r in range(k)]) for i in range(k)]
+    assert doubled == literal_doubled_fundamentals(datum)
+
+
+def test_reflect_vector_refuses_letters_outside_the_rank():
+    for datum in (B3, D4):
+        vec = (1,) + (0,) * (datum.rank - 2) + (1,)
+        for j in (0, -1, datum.rank + 1):
+            with pytest.raises(IndexRangeError, match=f"reflection index {j} outside"):
+                reflect_vector(datum, j, vec)
 
 
 EPS_DATA = [B3, D4, make_datum(DynkinKind.B, 5), make_datum(DynkinKind.D, 6)]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -241,3 +242,29 @@ def test_encoded_inverse_refuses_letters_outside_the_rank(datum, letter):
     ident, tables = left_action(datum)
     with pytest.raises(IndexRangeError, match=rf"^letter {letter} outside 1\.\.{datum.rank}$"):
         encoded_inverse(ident, tables, (1, letter))
+
+
+@pytest.mark.parametrize("datum", [B3, D4], ids=repr)
+def test_word_length_counts_the_inversion_set_of_every_short_word(datum):
+    # every word of length <= 5, the non-reduced ones included
+    letters = range(1, datum.rank + 1)
+    for word in (w for m in range(6) for w in product(letters, repeat=m)):
+        assert word_length(datum, word) == len(inversion_vectors(datum, word)), word
+
+
+@pytest.mark.parametrize("n", range(5, 22))
+def test_word_length_counts_the_inversion_set_of_every_walk_node(n):
+    g = group_spec(n)
+    for p in (MaximalParabolic.P1, MaximalParabolic.P2):
+        for node in build_hasse(parabolic_choice(g, p)).nodes:
+            assert word_length(g.datum, node.word) == len(inversion_vectors(g.datum, node.word))
+            assert word_length(g.datum, node.word) == node.length
+
+
+@pytest.mark.parametrize("datum", [B3, D4], ids=repr)
+@pytest.mark.parametrize("letter", [0, -1, "k+1"])
+def test_word_length_refuses_letters_outside_the_rank(datum, letter):
+    letter = datum.rank + 1 if letter == "k+1" else letter
+    for length in (word_length, inversion_vectors):
+        with pytest.raises(IndexRangeError, match=rf"^letter {letter} outside 1\.\.{datum.rank}$"):
+            length(datum, (1, letter))
