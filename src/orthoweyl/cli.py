@@ -4,7 +4,7 @@ Commands: cosets, hasse, kostant, lambdaw, report, verify.  Every command is
 deterministic (identical argv produce identical bytes) and JSON output
 validates against the schema shipped at ``orthoweyl/data/cli_output.schema.json``.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 bad input or out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -538,11 +538,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, OrthoweylError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OrthoweylError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -11,13 +11,13 @@ default) this module computes
     associated Eisenstein series at that point;
 
 and assembles, per parabolic, the degree support of the resulting cohomology
-classes together with the counts, Levi lists and vanishing bounds.
+classes together with the counts, Levi lists and vanishing bounds.  l(w) is
+counted by :func:`orthoweyl.weylgroup.length_of`, as everywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -48,8 +48,6 @@ from .orthogroup import (
     vanishing_bounds,
 )
 from .rootsystem import (
-    DynkinKind,
-    RootDatum,
     Weight,
     _eps_to_weight_vector,
     doubled_epsilon,
@@ -57,8 +55,10 @@ from .rootsystem import (
 )
 from .weylgroup import (
     WeylWord,
+    doubled_rho_by_byte,
     encoded_inverse,
     left_action,
+    length_of,
     sign_positions,
     word_length,
 )
@@ -260,21 +260,7 @@ def _class_label(g: GroupSpec, p: MaximalParabolic) -> str:
 # indices x, y that two bytes of u name: u(ε_r), u(ε_{r+1}) below the last node,
 # and at it u(ε_{k-1}), u(-ε_k) for D_k (ε_x + ε_y) and u(ε_k), u(-ε_k) for B_k
 # (2ε_x).  So a row is (E[x] - E[y])/2 with E = 2(λ+ρ) in ε-coordinates, indexed
-# by byte, and wρ is the gather of 2ρ by u's first k bytes.
-
-
-def _length_of(datum: RootDatum, x: Sequence[int]) -> int:
-    """l(w) = #{β > 0 : (wρ, β) < 0}, from x = 2wρ in ε-coordinates.
-
-    That counts the pairs i < j with x_i < x_j or x_i + x_j < 0 (and for B_k
-    the i with x_i < 0), each j's pairs by bisection in the sorted x_i before it.
-    """
-    count = sum(1 for v in x if v < 0) if datum.kind is DynkinKind.B else 0
-    before: list[int] = []
-    for xj in x:
-        count += bisect_left(before, xj) + bisect_left(before, -xj)
-        insort(before, xj)
-    return count
+# by byte, and 2wρ, whence l(w), is the gather of 2ρ by u's first k bytes.
 
 
 class _ShiftedWeight(dict):
@@ -311,8 +297,7 @@ class _ShiftedWeight(dict):
         # byte m is ε_m's, byte 2k+1-m (that is, of -m) its negative; byte 0 is unused
         eps = list(zip(*(doubled_epsilon(datum, v) for v in vectors)))
         self.eps = [(), *eps, *(tuple(map(neg, e)) for e in reversed(eps))]
-        rho = doubled_epsilon(datum, [1] * datum.rank)
-        self.rho = [0, *rho, *map(neg, reversed(rho))]
+        self.rho = doubled_rho_by_byte(datum)
         alphas = (simple_root_vector(datum, r) for r in range(1, datum.rank + 1))
         self.positions = tuple(sign_positions(datum, alpha) for alpha in alphas)
         self.crossed, b_rows, a_weights, self.rho_a = _levi_split(g, p)
@@ -383,7 +368,7 @@ def _read_record(
         raise NotCosetRepresentativeError(
             f"word {word} is not minimal for the parabolic (fails at α_{j})"
         )
-    length = _length_of(g.datum, x)
+    length = length_of(g.datum, x)
     mu = tuple(map(lam.__getitem__, zip(lam.firsts(u), lam.seconds(u))))
     total = [0] * (len(lam.variables) + 1)
     for pos, weight in lam.a_terms:

@@ -13,8 +13,9 @@ is a bijection from the minimal coset representatives W^P onto the W-orbit of
     set needs to be carried.
 
 Reading edge labels along any path from the root spells a reduced word for the
-node's coset representative.  The walk is deterministic: frontier nodes are
-processed in word order and letters in ascending order, so node ids, stored
+node's coset representative.  The walk visits the nodes in the order it finds
+them and tries letters in ascending order, so the nodes come by length, then in
+word order (a word is its first parent's plus one letter): node ids, stored
 words and all rendered output are byte-stable across runs.
 
 Edges produced by the walk are weak-order covers; :func:`with_bruhat_covers`
@@ -113,24 +114,18 @@ def build_hasse(p: ParabolicChoice) -> HasseDiagram:
     index: dict[tuple[int, ...], int] = {delta: 0}
     edges: list[tuple[int, int, int]] = []
 
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for node_id in sorted(frontier, key=lambda i: words[i]):
-            x = weights[node_id]
-            for j in range(1, k + 1):
-                if x[j - 1] <= 0:  # halt (= 0) or go back (< 0)
-                    continue
-                y = reflect_vector(datum, j, x)
-                child = index.get(y)
-                if child is None:
-                    child = len(words)
-                    index[y] = child
-                    words.append(words[node_id] + (j,))
-                    weights.append(y)
-                    next_frontier.append(child)
-                edges.append((node_id, child, j))
-        frontier = next_frontier
+    for node_id, x in enumerate(weights):  # the list grows as children are found
+        for j in range(1, k + 1):
+            if x[j - 1] <= 0:  # halt (= 0) or go back (< 0)
+                continue
+            y = reflect_vector(datum, j, x)
+            child = index.get(y)
+            if child is None:
+                child = len(words)
+                index[y] = child
+                words.append(words[node_id] + (j,))
+                weights.append(y)
+            edges.append((node_id, child, j))
 
     nodes = tuple(
         HasseNode(i, words[i], weights[i], len(words[i])) for i in range(len(words))

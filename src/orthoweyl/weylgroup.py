@@ -21,16 +21,17 @@ f(u(k)), f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the
 signed indices as 1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)``
 and a root's sign is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] <
 u[pos(-τb)], and u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte
-of u(x).  The Kostant records and ``verify``'s group rows run on it; the
-ϖ-matrices stay as the reference the tests compare it with.
+of u(x).  The Kostant records and ``verify``'s group rows run on it, l(w) is
+counted one way, by :func:`length_of`, and the ϖ-matrices are the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import gt, itemgetter
+from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ import numpy as np
 from .errors import DimensionError, IndexRangeError, RankGuardError
 from .linform import LinearForm
 from .rootsystem import (
+    DynkinKind,
     RootDatum,
     Weight,
     doubled_epsilon,
@@ -162,8 +164,9 @@ def inversion_vectors(datum: RootDatum, word: Sequence[int]) -> frozenset[tuple[
 
 
 def word_length(datum: RootDatum, word: Sequence[int]) -> int:
-    """Coxeter length |Φ_w|, the inversion count of w^{-1}; equals len(word) iff reduced."""
-    return inversion_counter(datum)(encoded_inverse(*left_action(datum), word))
+    """Coxeter length |Φ_w|, by :func:`length_of` from u = w^{-1}; equals len(word) iff reduced."""
+    rho, u = doubled_rho_by_byte(datum), encoded_inverse(*left_action(datum), word)
+    return length_of(datum, [rho[b] for b in u[: datum.rank]])
 
 
 def _guard_rank(datum: RootDatum) -> None:
@@ -340,9 +343,20 @@ def minimal_inverses(datum: RootDatum, group: Iterable, crossed: frozenset[int])
     return set(keep)
 
 
-@lru_cache(maxsize=None)
-def inversion_counter(datum: RootDatum) -> Callable[[bytes], int]:
-    """u ↦ #{β > 0 : u(β) < 0}; for u = w^{-1} that is the inversion set's size, l(w)."""
-    firsts, seconds = zip(*[sign_positions(datum, beta) for beta in positive_root_vectors(datum)])
-    first, second = itemgetter(*firsts), itemgetter(*seconds)
-    return lambda u: sum(map(gt, first(u), second(u)))
+def doubled_rho_by_byte(datum: RootDatum) -> tuple[int, ...]:
+    """2ρ's ε-coordinate at each byte's signed index: byte m holds ε_m's, byte 2k+1-m (that
+    of -m) its negative, and byte 0 is unused.  Gathered by u's first k bytes it is 2wρ."""
+    rho = doubled_epsilon(datum, [1] * datum.rank)
+    return (0, *rho, *map(neg, reversed(rho)))
+
+
+def length_of(datum: RootDatum, x: Sequence[int]) -> int:
+    """l(w) = #{β > 0 : (wρ, β) < 0}, from x = 2wρ in ε-coordinates: the pairs i < j with
+    x_i < x_j or x_i + x_j < 0 (and for B_k the i with x_i < 0), each j's pairs by
+    bisection in the sorted x_i before it."""
+    count = sum(1 for v in x if v < 0) if datum.kind is DynkinKind.B else 0
+    before: list[int] = []
+    for xj in x:
+        count += bisect_left(before, xj) + bisect_left(before, -xj)
+        insort(before, xj)
+    return count

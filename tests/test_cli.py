@@ -220,6 +220,27 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "first failure: counts" in out
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("report_summary", ["report", "--n", "9"]),
+        ("build_hasse", ["cosets", "--n", "9", "--parabolic", "P2"]),
+        ("iter_records", ["kostant", "--n", "9", "--parabolic", "P1"]),
+    ],
+    ids=["report", "cosets", "kostant"],
+)
+def test_out_of_memory_exits_bad_input(capsys, monkeypatch, target, argv):
+    # the commands that ran out of memory on large n, made to fail at small n
+    monkeypatch.setattr(cli, target, _out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: the input is too large\n"
+
+
 def test_commands_are_byte_deterministic(capsys):
     for argv in (
         ("cosets", "--n", "9", "--parabolic", "P2", "--format", "csv"),

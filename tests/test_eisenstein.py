@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import diagram, matrix_record, reference_record
+from conftest import diagram
 from orthoweyl import eisenstein
 from orthoweyl.eisenstein import (
     degree_support,
@@ -27,7 +27,7 @@ from orthoweyl.hasse import HasseNode, build_hasse
 from orthoweyl.linform import LinearForm
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import Weight
-from orthoweyl.weylgroup import identity_matrix, times_generator
+from reference import assert_records_equal_matrix_reference, reference_record
 
 P1, P2 = MaximalParabolic.P1, MaximalParabolic.P2
 
@@ -309,38 +309,6 @@ def test_regular_weight():
 
 
 # --- the records against the ϖ-matrix reference, integers included ---
-
-
-def integer_fields(rec):
-    return {field.name: getattr(rec, field.name) for field in fields(rec)}
-
-
-def walk_matrices(datum, nodes):
-    """``word_action_matrix`` of each node's word, each from its parent's by one
-    column update (``times_generator``): O(k) per node, not a fold per word."""
-    cols = {(): identity_matrix(datum.rank)}
-    for node in nodes:
-        if node.word not in cols:
-            cols[node.word] = times_generator(datum, cols[node.word[:-1]], node.word[-1])
-        yield tuple(zip(*cols[node.word]))
-
-
-def assert_records_equal_matrix_reference(n, lam):
-    g = group_spec(n)
-    ref_lam = Weight.symbolic(g.k) if lam is None else lam
-    for p in (P1, P2):
-        nodes = diagram(n, p).nodes
-        want = [
-            matrix_record(g, p, node.word, ref_lam, m)
-            for node, m in zip(nodes, walk_matrices(g.datum, nodes))
-        ]
-        assert [integer_fields(rec) for rec in iter_records(g, p, lam, diagram(n, p))] == want
-        # kostant_record builds each u from its word, the reference each matrix from its
-        # word: every node up to n = 13, then a spread
-        step = 1 if n <= 13 else max(1, len(nodes) // 20)
-        for node, ref in zip(nodes[::step] + nodes[-1:], want[::step] + want[-1:]):
-            assert matrix_record(g, p, node.word, lam) == ref, (p, node.word)
-            assert integer_fields(kostant_record(g, p, node.word, lam)) == ref, (p, node.word)
 
 
 @pytest.mark.parametrize("n", range(5, 42))

@@ -31,7 +31,9 @@ cover D_k records above n = 10 and numeric λ above n = 17, as produced before
 every record was read from w⁻¹ as a signed permutation; and of ``hasse --n 41`` and
 ``--n 42`` with ``--covers`` (P2 json at both, P1 dot at 42), the first covers above
 n = 21, as produced before the covers moved from ϖ-coordinate coroots to signed
-transpositions of ε-coordinates.  Its ``demos`` entry is checked in ``test_demos.py``.
+transpositions of ε-coordinates; and of ``cosets --n 101 --parabolic P2`` (text), the
+largest walk here, as produced before the walk stopped sorting each frontier by word.
+Its ``demos`` entry is checked in ``test_demos.py``.
 """
 
 import hashlib

@@ -1,14 +1,11 @@
 import json
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
-from conftest import literal_coroot_vectors, mat_mul, to_epsilon
 from orthoweyl.errors import OrthoweylError
 from orthoweyl.hasse import (
     HasseDiagram,
-    HasseNode,
     ParabolicChoice,
     build_hasse,
     delta_weight,
@@ -18,17 +15,9 @@ from orthoweyl.hasse import (
     with_bruhat_covers,
 )
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
-from orthoweyl.rootsystem import (
-    DynkinKind,
-    Weight,
-    _eps_positive_roots,
-    make_datum,
-    positive_root_vectors,
-    reflect_vector,
-    rho,
-    simple_root_vector,
-)
+from orthoweyl.rootsystem import DynkinKind, Weight, make_datum, rho
 from orthoweyl.weylgroup import identity_matrix, word_action_matrix
+from reference import _coroot_covers, _inversion_set_walk, _matrix_covers, mat_mul
 
 B3 = make_datum(DynkinKind.B, 3)
 B4 = make_datum(DynkinKind.B, 4)
@@ -270,104 +259,6 @@ def test_json_export_shape():
 # --- the fast paths against the methods they replaced -------------------------
 
 
-def _inversion_set_walk(p: ParabolicChoice) -> HasseDiagram:
-    """The walk with an explicit inverse-inversion set per node.
-
-    A letter α is taken when α is not in the node's set ("do not go back") and
-    s_α moves the weight ("do not halt"); the child's set is {α} ∪ s_α(Φ).
-    """
-    datum = p.datum
-    k = datum.rank
-    delta = tuple(1 if i in p.crossed else 0 for i in range(1, k + 1))
-    words, weights, inversions = [()], [delta], [frozenset()]
-    index, edges = {delta: 0}, []
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for node_id in sorted(frontier, key=lambda i: words[i]):
-            x, inv = weights[node_id], inversions[node_id]
-            for j in range(1, k + 1):
-                alpha = simple_root_vector(datum, j)
-                if alpha in inv or x[j - 1] == 0:
-                    continue
-                y = reflect_vector(datum, j, x)
-                child = index.get(y)
-                if child is None:
-                    child = index[y] = len(words)
-                    words.append(words[node_id] + (j,))
-                    weights.append(y)
-                    inversions.append(
-                        frozenset({alpha} | {reflect_vector(datum, j, r) for r in inv})
-                    )
-                    next_frontier.append(child)
-                edges.append((node_id, child, j))
-        frontier = next_frontier
-    nodes = tuple(
-        HasseNode(i, words[i], weights[i], len(words[i])) for i in range(len(words))
-    )
-    return HasseDiagram(p, nodes, tuple(edges))
-
-
-def _matrix_covers(h: HasseDiagram) -> tuple[tuple[int, int], ...]:
-    """Covers as pairs (u, s_β·u) of group elements, compared as ϖ-action matrices."""
-    datum = h.parabolic.datum
-    k = datum.rank
-    eps_fund = [
-        [c.constant for c in to_epsilon(datum, Weight.from_constants(row)).coords]
-        for row in identity_matrix(k)
-    ]
-    reflections = []
-    for beta_eps, beta_w in zip(_eps_positive_roots(datum), positive_root_vectors(datum)):
-        norm = sum(x * x for x in beta_eps)
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                t = Fraction(2 * sum(a * b for a, b in zip(eps_fund[j], beta_eps))) / norm
-                entry = (1 if i == j else 0) - t * beta_w[i]
-                assert entry.denominator == 1
-                row.append(int(entry))
-            rows.append(tuple(row))
-        reflections.append(tuple(rows))
-    matrices = [word_action_matrix(datum, node.word) for node in h.nodes]
-    by_matrix = {m: node.id for m, node in zip(matrices, h.nodes)}
-    covers = set()
-    for node, m in zip(h.nodes, matrices):
-        for refl in reflections:
-            target = by_matrix.get(mat_mul(refl, m))
-            if target is not None and h.nodes[target].length == node.length + 1:
-                covers.add((node.id, target))
-    return tuple(sorted(covers))
-
-
-def _coroot_covers(h: HasseDiagram) -> HasseDiagram:
-    """The covers as the package computed them in ϖ-coordinates, with the reference coroots.
-
-    For every node x and positive root β with ``c = <x, β^∨> ≠ 0``, the node
-    ``x − c·β`` is a cover when one length higher; the same errors as
-    :func:`with_bruhat_covers`.
-    """
-    datum = h.parabolic.datum
-    roots = tuple(zip(positive_root_vectors(datum), literal_coroot_vectors(datum)))
-    index = {node.weight: node for node in h.nodes}
-    covers = set()
-    for node in h.nodes:
-        x = node.weight
-        for beta, coroot in roots:
-            c = sum(a * b for a, b in zip(x, coroot))
-            if c == 0:
-                continue
-            y = tuple(xi - c * bi for xi, bi in zip(x, beta))
-            target = index.get(y)
-            if target is None:
-                raise OrthoweylError(f"orbit not closed: reflecting {x} gives {y}, not a node")
-            if target.length == node.length + 1:
-                covers.add((node.id, target.id))
-    if not {(a, b) for a, b, _ in h.algo_edges} <= covers:
-        raise OrthoweylError("walk edge missing from covers")
-    return replace(h, cover_edges=tuple(sorted(covers)))
-
-
 def _choices(ns):
     for n in ns:
         g = group_spec(n)
@@ -419,6 +310,27 @@ def test_orbit_not_closed_names_the_weights_as_the_reference(choice):
         with pytest.raises(OrthoweylError, match="orbit not closed") as got:
             with_bruhat_covers(broken)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [make_datum(DynkinKind.B, k) for k in range(3, 7)]
+    + [make_datum(DynkinKind.D, k) for k in range(4, 7)],
+    ids=repr,
+)
+def test_node_words_come_in_length_and_word_order_at_every_crossing(datum):
+    # the walk sorts nothing: it finds the nodes of each length in word order
+    k = datum.rank
+    for mask in range(1 << k):
+        choice = ParabolicChoice(datum, frozenset(j for j in range(1, k + 1) if mask >> (j - 1) & 1))
+        words = [node.word for node in build_hasse(choice).nodes]
+        assert words == sorted(words, key=lambda w: (len(w), w)), choice.crossed
+
+
+def test_node_words_come_in_length_and_word_order():
+    for n, p, choice in _choices(range(5, 62)):
+        words = [node.word for node in build_hasse(choice).nodes]
+        assert words == sorted(words, key=lambda w: (len(w), w)), (n, p)
 
 
 def test_walk_equals_inversion_set_walk():

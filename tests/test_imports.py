@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module, and every
-exported name exists.
+"""Every name a package or test module imports is used in that module, and
+every exported name exists.
 
-The repository has no linter, so this is the check for dead imports.  A name
-counts as used when it is read anywhere in the module (annotations included)
-or listed in the module's ``__all__``.  ``__init__.py`` re-exports by import
+The repository has no linter, so this is the check for dead imports, in
+``src/`` and in ``tests/``.  A name counts as used when it is read anywhere in
+the module (annotations included) or listed in the module's ``__all__``.  The
+one dead import allowed is ``full_report`` in ``test_acceptance.py``, which
+stays as it was written.  ``__init__.py`` re-exports by import
 and is not checked for use; instead every name it imports from a submodule
 must be in that submodule's ``__all__``, and every ``__all__`` entry must be
 bound at the top level of its module.  Together these stop a deletion from
@@ -17,6 +19,14 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orthoweyl"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+#: (module, name) pairs whose import may stay unused.
+UNUSED_ALLOWED = {("test_acceptance.py", "full_report")}
+
+
+def _module_id(path):
+    return path.name if path.parent == PACKAGE else f"tests/{path.name}"
 
 
 def _imported_names(tree):
@@ -61,10 +71,10 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=_module_id)
 def test_every_import_is_used(path):
     tree = _tree(path)
-    used = _used_names(tree)
+    used = _used_names(tree) | {name for module, name in UNUSED_ALLOWED if module == path.name}
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from orthoweyl.errors import DimensionError
 from orthoweyl.linform import LinearForm, parse_rational, render_form
+from reference import reference_render
 
 
 def lf(const=0, coeffs=None, k=3):
@@ -160,29 +161,6 @@ def test_arithmetic_refuses_mixed_universes(a, b):
 
 
 # --- the integer renderer against the Fraction renderer it replaced ---
-
-
-def reference_render(f):
-    """``LinearForm.render`` as it was on Fractions: the reference for ``render_form``."""
-    parts = []
-    for i, c in f.coeffs:
-        mag = abs(c)
-        if mag == 1:
-            body = f"λ{i}"
-        elif mag.denominator == 1:
-            body = f"{mag}λ{i}"
-        else:
-            body = f"({mag})λ{i}"
-        parts.append(("-" if c < 0 else "+", body))
-    if f.constant != 0:
-        parts.append(("-" if f.constant < 0 else "+", str(abs(f.constant))))
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
 
 
 numerators = st.one_of(st.integers(-1000, 1000), st.sampled_from([0, 1, -1]))

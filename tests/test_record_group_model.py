@@ -3,7 +3,7 @@
 Every Kostant record is read from u = w⁻¹ as the bytes of
 ``weylgroup.encoded_inverse`` and its left action, not from a ϖ-action
 matrix.  The matrix code stays in ``weylgroup`` as the tests' reference
-(``conftest.matrix_record``), so ``eisenstein.py`` may import none of it.  The
+(``reference.matrix_record``), so ``eisenstein.py`` may import none of it.  The
 check is on the syntax tree, like ``test_record_views.py``.
 """
 

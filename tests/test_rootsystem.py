@@ -3,13 +3,6 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (
-    from_epsilon,
-    literal_coroot_vectors,
-    literal_doubled_fundamentals,
-    simple_reflection,
-    to_epsilon,
-)
 from orthoweyl.errors import IndexRangeError, UnsupportedKindError, UnsupportedRankError
 from orthoweyl.rootsystem import (
     DynkinKind,
@@ -19,6 +12,13 @@ from orthoweyl.rootsystem import (
     positive_root_vectors,
     reflect_vector,
     rho,
+)
+from reference import (
+    from_epsilon,
+    literal_coroot_vectors,
+    literal_doubled_fundamentals,
+    simple_reflection,
+    to_epsilon,
 )
 
 B3 = make_datum(DynkinKind.B, 3)

@@ -3,7 +3,6 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
-from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +14,6 @@ import orthoweyl.weylgroup as weylgroup
 from conftest import diagram
 from orthoweyl.cli import main
 from orthoweyl.errors import OrthoweylError
-from orthoweyl.linform import LinearForm
 from orthoweyl.verification import (
     PARABOLICS,
     CheckResult,
@@ -24,15 +22,8 @@ from orthoweyl.verification import (
     format_results,
     run_verification,
 )
-from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec, restrict
-from orthoweyl.rootsystem import (
-    DynkinKind,
-    _eps_to_weight_vector,
-    doubled_epsilon,
-    Weight,
-    make_datum,
-    positive_root_vectors,
-)
+from orthoweyl.orthogroup import MaximalParabolic, crossed_simple_roots, group_spec
+from orthoweyl.rootsystem import DynkinKind, Weight, make_datum, positive_root_vectors
 from orthoweyl.weylgroup import (
     decode,
     encode,
@@ -41,15 +32,30 @@ from orthoweyl.weylgroup import (
     generator_matrix,
     generator_permutations,
     group_layers,
-    inversion_counter,
     inversion_vectors,
     left_action,
-    mat_vec,
     minimal_inverses,
     minimal_reps_bruteforce,
     right_gathers,
     sign_positions,
     word_action_matrix,
+)
+from reference import (
+    _as_signed_permutation,
+    _compose,
+    _compose_closure,
+    _inversion_count,
+    _min_rule,
+    _negative_image_count,
+    _randint_recombination,
+    _reference_recombination,
+    _root_terms,
+    _sends_positive,
+    group_closure,
+    inversion_counter,
+    right_multipliers,
+    signed_permutation_closure,
+    word_inverse,
 )
 
 
@@ -95,96 +101,10 @@ def test_format_results_summary_and_counterexample():
     assert "first failure: oracle at n=5" in text
 
 
-# --- k-tuple references: the group as tuples of signed indices ---
+# --- the group as bytes against the k-tuple references ---
 #
-# ``verification`` encodes each element as 2k bytes.  These tuple versions
-# compose by definition and are the references the encoding is checked against.
-
-
-def _compose(u, v):
-    """u∘v: v acts first."""
-    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
-
-
-def right_multipliers(gens):
-    """For each s in ``gens``, u ↦ u∘s: gather u at |s(i)| - 1, then negate the
-    entries where s(i) < 0."""
-    out = []
-    for s in gens:
-        gather = [abs(x) - 1 for x in s]
-        flips = {i for i, x in enumerate(s) if x < 0}
-        out.append(
-            lambda u, gather=gather, flips=flips: tuple(
-                -u[m] if i in flips else u[m] for i, m in enumerate(gather)
-            )
-        )
-    return out
-
-
-def signed_permutation_closure(gens):
-    """The group generated by ``gens`` under right multiplication, each element with
-    its breadth-first layer."""
-    ident = tuple(range(1, len(gens[0]) + 1))
-    times = right_multipliers(gens)
-    length = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for t in times:
-                v = t(u)
-                if v not in length:
-                    length[v] = length[u] + 1
-                    fresh.append(v)
-        frontier = fresh
-    return length
-
-
-def word_inverse(gens, word):
-    """w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w."""
-    u = tuple(range(1, len(gens[0]) + 1))
-    for j in word:
-        u = _compose(gens[j - 1], u)
-    return u
-
-
-def _root_terms(datum, root):
-    """The nonzero ε-coordinates of twice a ϖ-coordinate root, as (index, value) pairs."""
-    return [(i, c) for i, c in enumerate(doubled_epsilon(datum, root)) if c]
-
-
-def _sends_positive(u, terms):
-    """Whether u maps the root with these one or two ε-terms to a positive root:
-    the sign of the image term with the smallest ε-index."""
-    if len(terms) == 1:
-        ((i, c),) = terms
-        return (u[i] > 0) == (c > 0)
-    (i, c), (m, d) = terms
-    x, y = u[i], u[m]
-    return (x > 0) == (c > 0) if abs(x) < abs(y) else (y > 0) == (d > 0)
-
-
-def _inversion_count(u, roots):
-    """#{β in ``roots`` : u(β) < 0}."""
-    return sum(not _sends_positive(u, terms) for terms in roots)
-
-
-def group_closure(ident, tables):
-    """The group the ``tables`` generate, each element with its BFS layer, held whole:
-    the closure ``group_layers`` streams."""
-    length = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        l = length[frontier[0]] + 1
-        fresh = []
-        for u in frontier:
-            for t in tables:
-                v = u.translate(t)
-                if v not in length:
-                    length[v] = l
-                    fresh.append(v)
-        frontier = fresh
-    return length
+# ``weylgroup`` encodes each element as 2k bytes.  The tuple versions, which
+# compose by definition, are the references in ``reference.py``.
 
 
 def _decoded_closure(datum):
@@ -233,6 +153,21 @@ def test_reduced_words_run_at_large_n(n):
     assert _row("reduced-words")(_context(n)) == ""
 
 
+def test_an_off_by_one_length_fails_reduced_words_and_the_record_walk(monkeypatch):
+    original = weylgroup.length_of
+
+    def plus_one(datum, x):
+        return original(datum, x) + 1
+
+    for module in (weylgroup, verification, eisenstein):  # each module that reads it
+        monkeypatch.setattr(module, "length_of", plus_one)
+    row = next(r for r in run_verification(5) if r.check == "reduced-words")
+    assert (row.status, row.detail) == ("FAIL", "P1: word ()")
+    with pytest.raises(OrthoweylError, match=r"^word \(\) has length 1, but its node says 0$"):
+        next(eisenstein.iter_records(group_spec(5), MaximalParabolic.P1))
+    assert weylgroup.word_length(group_spec(5).datum, (1,)) == 2
+
+
 @pytest.mark.parametrize("n", range(5, 22))
 def test_inversion_count_equals_inversion_vectors(n):
     g = group_spec(n)
@@ -273,19 +208,6 @@ def test_back_or_forth_failure_is_reported(monkeypatch):
 # --- the signed-permutation oracle against the ϖ-matrix reference ---
 
 
-def _as_signed_permutation(datum, matrix):
-    """The signed permutation of ε_1..ε_k that a ϖ-coordinate action matrix is."""
-    k = datum.rank
-    perm = []
-    for i in range(k):
-        unit = [int(m == i) for m in range(k)]
-        image = doubled_epsilon(datum, mat_vec(matrix, _eps_to_weight_vector(datum, unit)))
-        ((m, x),) = [(m, x) for m, x in enumerate(image) if x]
-        assert abs(x) == 2
-        perm.append(m + 1 if x > 0 else -(m + 1))
-    return tuple(perm)
-
-
 SMALL_DATA = [make_datum(DynkinKind.B, k) for k in range(3, 7)] + [
     make_datum(DynkinKind.D, k) for k in range(4, 7)
 ]
@@ -313,17 +235,6 @@ def test_closure_is_the_enumerated_group(datum):
         want = {_as_signed_permutation(datum, e.matrix): len(e.word) for e in elements}
         assert set(closure) == set(want)
         assert closure == want  # each BFS layer is the length of a shortest word
-
-
-def _negative_image_count(u, roots):
-    """#{β in ``roots`` : u(β) < 0}, building the whole ε-vector of u(β)."""
-    count = 0
-    for terms in roots:
-        image = [0] * len(u)
-        for i, c in terms:
-            image[abs(u[i]) - 1] += c if u[i] > 0 else -c
-        count += next(x for x in image if x) < 0
-    return count
 
 
 @pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
@@ -424,12 +335,6 @@ def signed_permutations(draw, k):
     return tuple(s * x for s, x in zip(signs, perm))
 
 
-def _min_rule(u, terms):
-    """The sign of the image term with the smallest ε-index, found by ``min``."""
-    _, c = min((abs(u[i]), c if u[i] > 0 else -c) for i, c in terms)
-    return c > 0
-
-
 @pytest.mark.parametrize("datum", MID_DATA, ids=repr)
 @given(data=st.data())
 def test_right_multipliers_equal_compose(datum, data):
@@ -464,23 +369,6 @@ def test_sends_positive_equals_min_rule(datum, data):
     for beta, t in roots:
         p, q = sign_positions(datum, beta)
         assert (code[p] < code[q]) == _min_rule(u, t) == _sends_positive(u, t)
-
-
-def _compose_closure(gens):
-    """Breadth-first closure by ``_compose`` on the right, each element with its layer."""
-    ident = tuple(range(1, len(gens[0]) + 1))
-    length = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for s in gens:
-                v = _compose(u, s)
-                if v not in length:
-                    length[v] = length[u] + 1
-                    fresh.append(v)
-        frontier = fresh
-    return length
 
 
 @pytest.mark.parametrize("datum", SMALL_DATA, ids=repr)
@@ -547,36 +435,6 @@ def test_tables_that_are_not_involutions_end_in_a_fail_row(monkeypatch, n):
 
 
 # --- recombination: integer rows against the LinearForm reference ---
-
-
-def _random_form(rng, k):
-    coeffs = {i: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for i in range(1, k + 1)}
-    return LinearForm.make(k, Fraction(rng.randint(-6, 6), rng.randint(1, 4)), coeffs)
-
-
-def _combine(forms, basis, k):
-    """Σ forms[j]·basis[j] for constant-coordinate basis weights."""
-    coords = []
-    for i in range(k):
-        acc = LinearForm.zero(forms[0].nvars)
-        for f, b in zip(forms, basis):
-            c = b.coords[i].constant
-            if c:
-                acc = acc + f.scale(c)
-        coords.append(acc)
-    return Weight(tuple(coords))
-
-
-def _reference_recombination(g, rng):
-    """The check on ``LinearForm`` weights: the first failing trial, or ""."""
-    for p in PARABOLICS:
-        head, tail = verification.restriction_basis(g, p)
-        for trial in range(100):
-            w = Weight(tuple(_random_form(rng, g.k) for _ in range(g.k)))
-            r = restrict(g, p, w)
-            if _combine([r.a_coefficient, *r.b_coords], [head, *tail], g.k) != w:
-                return f"{p.name}: trial {trial}"
-    return ""
 
 
 @pytest.mark.parametrize("n", range(5, 14))
@@ -671,32 +529,6 @@ def test_recombination_checks_the_records_split(monkeypatch, levi_split_cache, n
     first = "P2" if g.is_odd else "P1"  # for odd n, P1 halves one coordinate only
     assert verification._recombination(g, random.Random(n)) == f"{first}: trial 0"
     assert _reference_recombination(g, random.Random(n)) == ""
-
-
-def _times(a, b):
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _randint_recombination(g, rng):
-    """The check with W drawn by ``randint`` and (B·R)·W a full product: the reference
-    for the stream that ``_trial_values`` reads."""
-    k, randint = g.k, rng.randint
-    for p in PARABOLICS:
-        r = restrict(g, p, Weight.symbolic(k))
-        forms = (r.a_coefficient, *r.b_coords)
-        rows = [[*map(f.coefficient, range(1, k + 1)), f.constant] for f in forms]
-        rmat, rs = verification._integer_rows(rows)
-        head, tail = verification.restriction_basis(g, p)
-        basis = list(zip(*(b.constant_tuple() for b in (head, *tail))))
-        bmat, bs = verification._integer_rows(basis)
-        br = _times(bmat, rmat)
-        for trial in range(100):
-            w = [[randint(-6, 6) * (12 // randint(1, 4)) for _ in range(k + 1)] for _ in range(k)]
-            back = _times(br, [*w, [0] * k + [12]])
-            if back != [[rs * bs * x for x in row] for row in w]:
-                return f"{p.name}: trial {trial}"
-    return ""
 
 
 @given(seed=st.integers(0, 2**64), count=st.integers(0, 400))

@@ -1,29 +1,40 @@
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mat_mul, reflect_word, simple_reflection
 from orthoweyl.errors import DimensionError, IndexRangeError, RankGuardError
 from orthoweyl.linform import LinearForm
 from orthoweyl.hasse import build_hasse
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
-from orthoweyl.rootsystem import DynkinKind, Weight, make_datum
+from orthoweyl.rootsystem import DynkinKind, Weight, make_datum, positive_root_vectors
 from orthoweyl.weylgroup import (
     apply_word,
+    decode,
+    doubled_rho_by_byte,
     encoded_inverse,
     enumerate_group,
     generator_matrix,
-    identity_matrix,
+    group_layers,
     inversion_vectors,
     left_action,
+    length_of,
     minimal_reps_bruteforce,
     render_word,
     times_generator,
     word_action_matrix,
     word_length,
+)
+from reference import (
+    _inversion_count,
+    _reference_generator,
+    _reference_word_matrix,
+    _root_terms,
+    inversion_counter,
+    mat_mul,
+    reflect_word,
+    simple_reflection,
 )
 
 B3 = make_datum(DynkinKind.B, 3)
@@ -174,22 +185,6 @@ def test_inverse_is_reversal(u):
 # --- the column-update action against a product of full generator matrices ---
 
 
-def _reference_generator(datum, j):
-    """S_j entry by entry: δ_{i,jj} - <α_j, α_i^∨>·δ_{jj,j}."""
-    k = datum.rank
-    row = datum.cartan[j - 1]
-    return tuple(
-        tuple((1 if i == jj else 0) - (row[i] if jj == j - 1 else 0) for jj in range(k))
-        for i in range(k)
-    )
-
-
-def _reference_word_matrix(datum, word):
-    """S_{i1}·…·S_{im} as a product of full matrices."""
-    mats = [_reference_generator(datum, j) for j in word]
-    return reduce(mat_mul, mats, identity_matrix(datum.rank))
-
-
 FOLD_DATA = {
     "B3": B3,
     "B4": make_datum(DynkinKind.B, 4),
@@ -268,3 +263,45 @@ def test_word_length_refuses_letters_outside_the_rank(datum, letter):
     for length in (word_length, inversion_vectors):
         with pytest.raises(IndexRangeError, match=rf"^letter {letter} outside 1\.\.{datum.rank}$"):
             length(datum, (1, letter))
+
+
+# --- the one length count against its references ---
+
+LENGTH_DATA = [make_datum(DynkinKind.B, k) for k in range(3, 7)] + [
+    make_datum(DynkinKind.D, k) for k in range(4, 7)
+]
+
+
+def _layers_with_words(datum):
+    """Each u = w^{-1} of ``group_layers``, with its layer and a reduced word of w.  s_j∘u is
+    the inverse of w·s_j, so the next layer's words are this layer's with one letter added."""
+    ident, tables = left_action(datum)
+    words = {ident: ()}
+    for l, layer in enumerate(group_layers(ident, tables)):
+        following = {}
+        for u in layer:
+            yield u, l, words[u]
+            for j, t in enumerate(tables, start=1):
+                following.setdefault(u.translate(t), words[u] + (j,))
+        words = following
+
+
+@pytest.mark.parametrize("datum", LENGTH_DATA, ids=repr)
+def test_length_of_equals_the_references_on_every_element(datum):
+    rho, count = doubled_rho_by_byte(datum), inversion_counter(datum)
+    roots = [_root_terms(datum, beta) for beta in positive_root_vectors(datum)]
+    for u, l, word in _layers_with_words(datum):
+        length = length_of(datum, [rho[b] for b in u[: datum.rank]])
+        assert length == l == count(u) == _inversion_count(decode(u), roots), word
+        assert length == len(inversion_vectors(datum, word)), word
+
+
+def test_length_of_equals_the_stored_length_on_every_walk_node():
+    for n in range(5, 62):
+        g = group_spec(n)
+        rho, (ident, tables) = doubled_rho_by_byte(g.datum), left_action(g.datum)
+        for p in (MaximalParabolic.P1, MaximalParabolic.P2):
+            for node in build_hasse(parabolic_choice(g, p)).nodes:
+                u = encoded_inverse(ident, tables, node.word)
+                length = length_of(g.datum, [rho[b] for b in u[: g.k]])
+                assert length == node.length, (n, p, node.word)
