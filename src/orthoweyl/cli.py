@@ -24,7 +24,7 @@ from .eisenstein import KostantRecord, Report, iter_records, regular_weight, rep
 from .errors import OrthoweylError
 from .hasse import build_hasse, length_histogram, to_dot, to_json_dict, with_bruhat_covers
 from .linform import parse_rational, render_form
-from .orthogroup import GroupSpec, MaximalParabolic, group_spec, parabolic_choice
+from .orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from .verification import format_results, run_verification
 from .weylgroup import render_word
 
@@ -61,13 +61,6 @@ def _parse_lambda(text: str, k: int) -> tuple[Fraction, ...]:
     if len(values) != k:
         raise _CliError(f"--lambda needs exactly {k} comma-separated values, got {len(values)}")
     return values
-
-
-def _group(args) -> GroupSpec:
-    try:
-        return group_spec(args.n)
-    except OrthoweylError as exc:
-        raise _CliError(str(exc)) from None
 
 
 #: Characters gathered from a stream of chunks before each write.  A JSON
@@ -219,7 +212,7 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_cosets(args) -> int:
-    g = _group(args)
+    g = group_spec(args.n)
     p = _parse_parabolic(args.parabolic)
     diagram = build_hasse(parabolic_choice(g, p))
     hist = length_histogram(diagram)
@@ -252,7 +245,7 @@ def cmd_cosets(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    g = _group(args)
+    g = group_spec(args.n)
     p = _parse_parabolic(args.parabolic)
     diagram = build_hasse(parabolic_choice(g, p))
     if args.covers:
@@ -317,13 +310,10 @@ def _record_array(records: Iterable[KostantRecord]) -> Callable[[str], Iterator[
 
 
 def _kostant_like(args, which: str) -> int:
-    g = _group(args)
+    g = group_spec(args.n)
     p = _parse_parabolic(args.parabolic)
     lam = None if args.lam is None else _parse_lambda(args.lam, g.k)
-    try:
-        records = iter_records(g, p, None if lam is None else regular_weight(g, lam))
-    except OrthoweylError as exc:
-        raise _CliError(str(exc)) from None
+    records = iter_records(g, p, None if lam is None else regular_weight(g, lam))
     if args.format == "json":
         payload = {
             "command": which,
@@ -439,12 +429,9 @@ def _report_text(report: Report) -> str:
 
 
 def cmd_report(args) -> int:
-    g = _group(args)
+    g = group_spec(args.n)
     lam = None if args.lam is None else _parse_lambda(args.lam, g.k)
-    try:
-        weight = None if lam is None else regular_weight(g, lam)
-    except OrthoweylError as exc:
-        raise _CliError(str(exc)) from None
+    weight = None if lam is None else regular_weight(g, lam)
     if args.format == "text":
         return _emit(_report_text(report_summary(g, lam)), args.out)
     diagrams = {p: build_hasse(parabolic_choice(g, p)) for p in MaximalParabolic}

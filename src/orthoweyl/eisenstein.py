@@ -47,15 +47,9 @@ from .orthogroup import (
     parabolic_choice,
     vanishing_bounds,
 )
-from .rootsystem import (
-    Weight,
-    _eps_to_weight_vector,
-    doubled_epsilon,
-    simple_root_vector,
-)
+from .rootsystem import Weight, doubled_epsilon, simple_root_vector
 from .weylgroup import (
     WeylWord,
-    doubled_rho_by_byte,
     encoded_inverse,
     left_action,
     length_of,
@@ -170,7 +164,7 @@ def kostant_record(
     g: GroupSpec, p: MaximalParabolic, word: WeylWord, lam: Weight | None = None
 ) -> KostantRecord:
     """Record of one word, its u = w⁻¹ from :func:`encoded_inverse`; checks that it is in W^P."""
-    u = encoded_inverse(*left_action(g.datum), word)
+    u = encoded_inverse(g.datum, word)
     return _read_record(g, p, word, u, _ShiftedWeight(g, p, _symbolic_or_given(g, lam)))
 
 
@@ -260,7 +254,8 @@ def _class_label(g: GroupSpec, p: MaximalParabolic) -> str:
 # indices x, y that two bytes of u name: u(ε_r), u(ε_{r+1}) below the last node,
 # and at it u(ε_{k-1}), u(-ε_k) for D_k (ε_x + ε_y) and u(ε_k), u(-ε_k) for B_k
 # (2ε_x).  So a row is (E[x] - E[y])/2 with E = 2(λ+ρ) in ε-coordinates, indexed
-# by byte, and 2wρ, whence l(w), is the gather of 2ρ by u's first k bytes.
+# by byte.  The same two bytes decide the sign of u(α_r): w ∈ W^P iff u[x] < u[y]
+# at every uncrossed r.  l(w) is weylgroup.length_of(datum, u).
 
 
 class _ShiftedWeight(dict):
@@ -268,8 +263,8 @@ class _ShiftedWeight(dict):
 
     ``const`` is den·(λ+ρ)'s constant column in ϖ-coordinates.  ``eps[b]`` is
     den·2(λ+ρ) at the ε-coordinate of byte b's signed index, as the tuple
-    (constant, coefficient of each λ_c in ``variables``), and ``rho[b]`` is 2ρ
-    there.  ``positions[r]`` are the two bytes of u that name row r+1.  As a
+    (constant, coefficient of each λ_c in ``variables``).  ``positions[r]`` are
+    the two bytes of u that name row r+1, the ``sign_positions`` of α_{r+1}.  As a
     dict, it maps each pair of bytes (x, y) to the 𝔟-row den·((E[x] - E[y])/2 - 1)
     of :class:`KostantRecord`, built at its first read and kept until the table
     is emptied.  The Levi split is read once, here: :func:`_levi_split`'s ``crossed``
@@ -297,7 +292,6 @@ class _ShiftedWeight(dict):
         # byte m is ε_m's, byte 2k+1-m (that is, of -m) its negative; byte 0 is unused
         eps = list(zip(*(doubled_epsilon(datum, v) for v in vectors)))
         self.eps = [(), *eps, *(tuple(map(neg, e)) for e in reversed(eps))]
-        self.rho = doubled_rho_by_byte(datum)
         alphas = (simple_root_vector(datum, r) for r in range(1, datum.rank + 1))
         self.positions = tuple(sign_positions(datum, alpha) for alpha in alphas)
         self.crossed, b_rows, a_weights, self.rho_a = _levi_split(g, p)
@@ -356,19 +350,19 @@ def _read_record(
 ) -> KostantRecord:
     """The record of w from u = w⁻¹ and λ+ρ.
 
-    Raises unless w ∈ W^P, i.e. the ϖ_j-coordinate of wρ is > 0 for every
-    uncrossed j.  The 𝔟-rows come from ``lam``'s table, one per byte pair, and
-    the 𝔞-row is ``a_weights`` applied to the rows, gathered by byte.
+    Raises unless w ∈ W^P, i.e. u(α_j) > 0 for every uncrossed j: u[p] < u[q]
+    for the ``sign_positions`` (p, q) of α_j in ``lam.positions``, the rule of
+    :func:`orthoweyl.weylgroup.minimal_inverses`.  The 𝔟-rows come from ``lam``'s
+    table, one per byte pair, and the 𝔞-row is ``a_weights`` applied to the
+    rows, gathered by byte.
     """
     crossed = lam.crossed
-    x = [lam.rho[b] for b in u[: g.k]]  # 2wρ in ε-coordinates
-    w_rho = _eps_to_weight_vector(g.datum, x)
-    if min(w_rho[: crossed - 1] + w_rho[crossed:], default=1) <= 0:
-        j = next(j for j, c in enumerate(w_rho, 1) if j != crossed and c <= 0)
-        raise NotCosetRepresentativeError(
-            f"word {word} is not minimal for the parabolic (fails at α_{j})"
-        )
-    length = length_of(g.datum, x)
+    for j, (p_j, q_j) in enumerate(lam.positions, 1):
+        if u[p_j] > u[q_j] and j != crossed:
+            raise NotCosetRepresentativeError(
+                f"word {word} is not minimal for the parabolic (fails at α_{j})"
+            )
+    length = length_of(g.datum, u)
     mu = tuple(map(lam.__getitem__, zip(lam.firsts(u), lam.seconds(u))))
     total = [0] * (len(lam.variables) + 1)
     for pos, weight in lam.a_terms:

@@ -64,6 +64,10 @@ class RootDatum:
     def __repr__(self) -> str:
         return f"RootDatum({self.kind.value}{self.rank})"
 
+    def __hash__(self) -> int:
+        # not the k×k ``cartan``, which every datum-keyed cache would hash; equality compares it
+        return hash((self.kind, self.rank))
+
 
 def cartan_matrix(kind: DynkinKind, rank: int) -> tuple[tuple[int, ...], ...]:
     """Pairing matrix for B_k / D_k in the convention described above."""

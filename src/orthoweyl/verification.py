@@ -49,7 +49,6 @@ from .orthogroup import (
 from .rootsystem import Weight, simple_root_vector
 from .weylgroup import (
     decode,
-    doubled_rho_by_byte,
     encoded_inverse,
     group_layers,
     left_action,
@@ -199,7 +198,8 @@ class _Context:
         oracle = {p: set() for p in PARABOLICS}
         lengths: dict[bytes, int] = {}
         size, want = 0, expected_group_order(g)
-        for l, layer in enumerate(group_layers(*left_action(g.datum))):
+        ident, tables = left_action(g.datum)
+        for l, layer in enumerate(group_layers(ident, tables)):
             for p in PARABOLICS:
                 oracle[p] |= minimal_inverses(g.datum, layer, crossed_simple_roots(g, p))
             if g.k <= BACK_OR_FORTH_MAX_RANK:
@@ -265,19 +265,17 @@ class _Context:
 
     def reduced_words(self, p: MaximalParabolic) -> str:
         """The first walk node whose word length, stored length and length of w differ.
-        The length of w is :func:`length_of` 2wρ, 2ρ gathered by the encoded w^{-1}."""
-        datum, rho = self.g.datum, doubled_rho_by_byte(self.g.datum)
-        ident, tables = left_action(datum)
+        The length of w is :func:`length_of` the encoded w^{-1}."""
+        datum = self.g.datum
         for node in self.diagrams[p].nodes:
-            x = [rho[b] for b in encoded_inverse(ident, tables, node.word)[: datum.rank]]
-            if not length_of(datum, x) == len(node.word) == node.length:
+            length = length_of(datum, encoded_inverse(datum, node.word))
+            if not length == len(node.word) == node.length:
                 return f"word {node.word}"
         return ""
 
     def oracle(self, p: MaximalParabolic) -> str:
         """The walk's w^{-1} against every u in W with u(α_j) > 0 for the uncrossed j."""
-        ident, tables = left_action(self.g.datum)
-        algo = {encoded_inverse(ident, tables, nd.word) for nd in self.diagrams[p].nodes}
+        algo = {encoded_inverse(self.g.datum, nd.word) for nd in self.diagrams[p].nodes}
         oracle = self.closure[0][p]
         if algo != oracle:
             diff = len(algo ^ oracle)

@@ -21,8 +21,13 @@ f(u(k)), f(u(-1)), …, f(u(-k)) with f(x) = x mod 2k+1.  The bytes order the
 signed indices as 1 < … < k < -k < … < -1, so s∘u is ``u.translate(table_s)``
 and a root's sign is one comparison: u(σε_a + τε_b) > 0 iff u[pos(σa)] <
 u[pos(-τb)], and u(σε_a) > 0 iff u[pos(σa)] < u[pos(-σa)], with pos(x) the byte
-of u(x).  The Kostant records and ``verify``'s group rows run on it, l(w) is
-counted one way, by :func:`length_of`, and the ϖ-matrices are the tests' reference.
+of u(x).  No other module reads this layout; they ask three things of it.  The u
+of a word is :func:`encoded_inverse`, on the tables of :func:`left_action`, built
+once per datum and cached.  l(w) is :func:`length_of` u, the one count, which
+gathers 2ρ by u's first k bytes itself.  w is in W^P iff u(α_j) > 0 at every
+uncrossed j: u[p] < u[q] for the :func:`sign_positions` (p, q) of α_j, the rule of
+:func:`minimal_inverses` and of the records.  The Kostant records and ``verify``'s
+group rows run on it, and the ϖ-matrices are the tests' reference.
 """
 
 from __future__ import annotations
@@ -106,12 +111,13 @@ Columns = tuple[tuple[int, ...], ...]  # a matrix as the tuple of its columns
 
 
 def times_generator(datum: RootDatum, cols: Columns, j: int) -> Columns:
-    """Columns of ``A·S_j``: column j becomes ``A·(e_j - c_j)``, c_j = pairing row j."""
-    terms = [(cols[i], c) for i, c in enumerate(datum.cartan[j - 1]) if c]
-    new = tuple(
-        x - sum(col[r] * c for col, c in terms) for r, x in enumerate(cols[j - 1])
-    )
-    return cols[: j - 1] + (new,) + cols[j:]
+    """Columns of ``A·S_j``: column j becomes ``A·(e_j - c_j)``, c_j = pairing row j,
+    each nonzero entry of c_j subtracting its multiple of one column."""
+    new = cols[j - 1]
+    for i, c in enumerate(datum.cartan[j - 1]):
+        if c:
+            new = [x - c * y for x, y in zip(new, cols[i])]
+    return cols[: j - 1] + (tuple(new),) + cols[j:]
 
 
 @lru_cache(maxsize=None)
@@ -147,26 +153,27 @@ class GroupElement:
 
 
 def inversion_vectors(datum: RootDatum, word: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """Inversion set {α > 0 : w^{-1}(α) < 0} as ϖ-coordinate vectors."""
-    _check_letters(datum, word)
+    """Inversion set {α > 0 : w^{-1}(α) < 0} as ϖ-coordinate vectors, each w^{-1}(α)
+    summed from the columns of w^{-1}'s matrix at α's nonzero ϖ-coordinates only."""
     pos = positive_root_vectors(datum)
     posset = set(pos)
-    inv_matrix = word_action_matrix(datum, tuple(reversed(word)))
+    cols = tuple(zip(*word_action_matrix(datum, tuple(reversed(word)))))
     out = []
     for alpha in pos:
-        image = mat_vec(inv_matrix, alpha)
-        negated = tuple(-x for x in image)
-        if negated in posset:
+        image = [0] * datum.rank
+        for a, col in zip(alpha, cols):
+            if a:
+                image = [x + a * c for x, c in zip(image, col)]
+        if tuple(-x for x in image) in posset:
             out.append(alpha)
         else:
-            assert image in posset, "w^{-1} must permute the roots"
+            assert tuple(image) in posset, "w^{-1} must permute the roots"
     return frozenset(out)
 
 
 def word_length(datum: RootDatum, word: Sequence[int]) -> int:
     """Coxeter length |Φ_w|, by :func:`length_of` from u = w^{-1}; equals len(word) iff reduced."""
-    rho, u = doubled_rho_by_byte(datum), encoded_inverse(*left_action(datum), word)
-    return length_of(datum, [rho[b] for b in u[: datum.rank]])
+    return length_of(datum, encoded_inverse(datum, word))
 
 
 def _guard_rank(datum: RootDatum) -> None:
@@ -284,6 +291,7 @@ def _position(k: int, x: int) -> int:
     return x - 1 if x > 0 else k - x - 1
 
 
+@lru_cache(maxsize=None)
 def left_action(datum: RootDatum) -> tuple[bytes, tuple[bytes, ...]]:
     """The identity's bytes and, per s_j, the table with s_j∘u = u.translate(table)."""
     ident = encode(tuple(range(1, datum.rank + 1)))
@@ -316,9 +324,9 @@ def group_layers(ident: bytes, tables: tuple[bytes, ...]) -> Iterator[list[bytes
         before, layer = layer, fresh
 
 
-def encoded_inverse(ident: bytes, tables: tuple[bytes, ...], word: WeylWord) -> bytes:
-    """w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w, each letter in 1..k."""
-    u = ident
+def encoded_inverse(datum: RootDatum, word: Sequence[int]) -> bytes:
+    """u = w^{-1} = s_{im}∘…∘s_{i1} for the word (i1, …, im) of w, each letter in 1..k."""
+    u, tables = left_action(datum)
     for j in word:
         if not 0 < j <= len(tables):
             raise IndexRangeError(f"letter {j} outside 1..{len(tables)}")
@@ -343,6 +351,7 @@ def minimal_inverses(datum: RootDatum, group: Iterable, crossed: frozenset[int])
     return set(keep)
 
 
+@lru_cache(maxsize=None)
 def doubled_rho_by_byte(datum: RootDatum) -> tuple[int, ...]:
     """2ρ's ε-coordinate at each byte's signed index: byte m holds ε_m's, byte 2k+1-m (that
     of -m) its negative, and byte 0 is unused.  Gathered by u's first k bytes it is 2wρ."""
@@ -350,10 +359,12 @@ def doubled_rho_by_byte(datum: RootDatum) -> tuple[int, ...]:
     return (0, *rho, *map(neg, reversed(rho)))
 
 
-def length_of(datum: RootDatum, x: Sequence[int]) -> int:
-    """l(w) = #{β > 0 : (wρ, β) < 0}, from x = 2wρ in ε-coordinates: the pairs i < j with
-    x_i < x_j or x_i + x_j < 0 (and for B_k the i with x_i < 0), each j's pairs by
-    bisection in the sorted x_i before it."""
+def length_of(datum: RootDatum, u: bytes) -> int:
+    """l(w) = #{β > 0 : (wρ, β) < 0} from u = w^{-1}, with x = 2wρ in ε-coordinates, 2ρ
+    gathered by u's first k bytes: the pairs i < j with x_i < x_j or x_i + x_j < 0 (and for
+    B_k the i with x_i < 0), each j's pairs by bisection in the sorted x_i before it."""
+    rho = doubled_rho_by_byte(datum)
+    x = [rho[b] for b in u[: datum.rank]]
     count = sum(1 for v in x if v < 0) if datum.kind is DynkinKind.B else 0
     before: list[int] = []
     for xj in x:

@@ -17,6 +17,7 @@ checks the table against the code.
 |---|---|---|---|
 | weylgroup.length_of | inversion_counter, _inversion_count, weylgroup.inversion_vectors | every element of B3..B6 and D4..D6, from group_layers | test_weylgroup::test_length_of_equals_the_references_on_every_element |
 | | hasse.build_hasse | the stored length of every walk node, n = 5..61, both parabolics | test_weylgroup::test_length_of_equals_the_stored_length_on_every_walk_node |
+| weylgroup.inversion_vectors | matrix_inversion_vectors | every word of length ≤ 5 of B3 and D4; Hypothesis: words of length ≤ 40 on B3..B6 and D4..D6 | test_weylgroup::test_inversion_vectors_equal_the_full_product_reference, test_weylgroup::test_inversion_vectors_equal_the_reference_on_random_words |
 | weylgroup.word_length | weylgroup.inversion_vectors | every word of length ≤ 5 of B3 and D4; every walk node, n = 5..21 | test_weylgroup::test_word_length_counts_the_inversion_set_of_every_short_word, test_weylgroup::test_word_length_counts_the_inversion_set_of_every_walk_node |
 | weylgroup.apply_word | reflect_word, simple_reflection | Hypothesis: words of length ≤ 3k in 1..3 variables on B3, B4, D4, D5 | test_weylgroup::test_apply_word_equals_reflection_fold |
 | weylgroup.generator_matrix | _reference_generator | every letter of B3, B4, D4, D5 | test_weylgroup::test_generator_matrix_equals_reference |
@@ -40,6 +41,7 @@ checks the table against the code.
 | | _matrix_covers, to_epsilon, mat_mul | n = 5..15, both parabolics | test_hasse::test_covers_equal_matrix_method |
 | rootsystem.doubled_epsilon | to_epsilon | Hypothesis: vectors in -6..6 on B3, D4, B5, D6 | test_rootsystem::test_doubled_epsilon_is_twice_to_epsilon |
 | | literal_doubled_fundamentals | the fundamental weights of B3..B12 and D4..D12 | test_rootsystem::test_coroot_vectors_equal_literal_rows |
+| eisenstein._read_record | varpi_failure | every element of W, n = 5..9, both parabolics: what kostant_record refuses, and at which α_j | test_eisenstein::test_kostant_record_refuses_as_the_varpi_rule |
 | eisenstein.iter_records, eisenstein.kostant_record | reference_record, orthogroup.restrict | every node, n = 5..13, at symbolic, numeric and mixed λ; n = 7, P2, at two more λ; the words the reader refuses at n = 5 | test_eisenstein::test_walk_records_equal_word_replay, test_eisenstein::test_walk_records_other_weights_match_replay, test_eisenstein::test_reference_rejects_what_the_reader_rejects |
 | | matrix_record, weylgroup.word_action_matrix | every node at symbolic λ, n = 5..41; at numeric and mixed λ, n = 5, 6, 13, 14, 40, 41 | test_eisenstein::test_records_equal_matrix_reference_symbolic, test_eisenstein::test_records_equal_matrix_reference_numeric_and_mixed |
 | verification._recombination | _reference_recombination, orthogroup.restrict | n = 5..13; with a changed basis or split at n = 7 and n = 5..12 | test_verification::test_recombination_equals_linear_form_reference, test_verification::test_recombination_mutation_fails_as_the_reference, test_verification::test_recombination_checks_the_records_split |
@@ -90,6 +92,7 @@ from orthoweyl.rootsystem import (
 from orthoweyl.verification import PARABOLICS
 from orthoweyl.weylgroup import (
     Matrix,
+    decode,
     identity_matrix,
     inversion_vectors,
     mat_vec,
@@ -300,6 +303,34 @@ def inversion_counter(datum):
     firsts, seconds = zip(*[sign_positions(datum, beta) for beta in positive_root_vectors(datum)])
     first, second = itemgetter(*firsts), itemgetter(*seconds)
     return lambda u: sum(map(gt, first(u), second(u)))
+
+
+def matrix_inversion_vectors(datum, word):
+    """{α > 0 : w^{-1}(α) < 0} as ϖ-coordinate vectors, each image a full product of
+    w^{-1}'s action matrix with α: the reference for ``inversion_vectors``."""
+    pos = positive_root_vectors(datum)
+    posset = set(pos)
+    inv_matrix = word_action_matrix(datum, tuple(reversed(word)))
+    out = []
+    for alpha in pos:
+        image = mat_vec(inv_matrix, alpha)
+        negated = tuple(-x for x in image)
+        if negated in posset:
+            out.append(alpha)
+        else:
+            assert image in posset, "w^{-1} must permute the roots"
+    return frozenset(out)
+
+
+def varpi_failure(g, p, u):
+    """The first uncrossed j at which wρ has ϖ_j-coordinate ≤ 0, or None when w ∈ W^P: the
+    W^P test of the records before the byte rule.  2wρ in ε-coordinates is x_i =
+    (2ρ, u(ε_i)) for u = w^{-1}, decoded, and is turned into ϖ-coordinates."""
+    rho = doubled_epsilon(g.datum, [1] * g.k)
+    x = [rho[m - 1] if m > 0 else -rho[-m - 1] for m in decode(u)]
+    w_rho = _eps_to_weight_vector(g.datum, x)
+    (crossed,) = crossed_simple_roots(g, p)
+    return next((j for j, c in enumerate(w_rho, 1) if j != crossed and c <= 0), None)
 
 
 def _as_signed_permutation(datum, matrix):

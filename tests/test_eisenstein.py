@@ -27,7 +27,9 @@ from orthoweyl.hasse import HasseNode, build_hasse
 from orthoweyl.linform import LinearForm
 from orthoweyl.orthogroup import MaximalParabolic, group_spec, parabolic_choice
 from orthoweyl.rootsystem import Weight
-from reference import assert_records_equal_matrix_reference, reference_record
+from orthoweyl.verification import expected_coset_count
+from orthoweyl.weylgroup import encoded_inverse, enumerate_group
+from reference import assert_records_equal_matrix_reference, reference_record, varpi_failure
 
 P1, P2 = MaximalParabolic.P1, MaximalParabolic.P2
 
@@ -276,6 +278,24 @@ def test_reference_rejects_what_the_reader_rejects():
             reference_record(g, p, word)
         with pytest.raises(NotCosetRepresentativeError):
             kostant_record(g, p, word)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_kostant_record_refuses_as_the_varpi_rule(n):
+    # every element of W: the byte rule on u refuses the words the ϖ rule on wρ refuses,
+    # naming the same α_j, and keeps exactly W^P
+    g = group_spec(n)
+    for p in (P1, P2):
+        kept = 0
+        for element in enumerate_group(g.datum):
+            j = varpi_failure(g, p, encoded_inverse(g.datum, element.word))
+            if j is None:
+                kostant_record(g, p, element.word)
+                kept += 1
+            else:
+                with pytest.raises(NotCosetRepresentativeError, match=rf"\(fails at α_{j}\)$"):
+                    kostant_record(g, p, element.word)
+        assert kept == expected_coset_count(g, p)
 
 
 def test_walk_records_reject_non_minimal_node():

@@ -172,12 +172,11 @@ def test_an_off_by_one_length_fails_reduced_words_and_the_record_walk(monkeypatc
 def test_inversion_count_equals_inversion_vectors(n):
     g = group_spec(n)
     gens = generator_permutations(g.datum)
-    ident, tables = left_action(g.datum)
     count = inversion_counter(g.datum)
     roots = [_root_terms(g.datum, beta) for beta in positive_root_vectors(g.datum)]
     for p in PARABOLICS:
         for node in diagram(n, p).nodes:
-            u = encoded_inverse(ident, tables, node.word)
+            u = encoded_inverse(g.datum, node.word)
             assert decode(u) == word_inverse(gens, node.word)
             assert count(u) == _inversion_count(decode(u), roots)
             assert count(u) == len(inversion_vectors(g.datum, node.word))
@@ -247,8 +246,7 @@ def test_closure_length_is_the_inversion_count(datum):
 @pytest.mark.parametrize("n", range(5, 11))
 def test_oracle_set_equals_bruteforce(n):
     g = group_spec(n)
-    ident, tables = left_action(g.datum)
-    group = group_closure(ident, tables)
+    group = group_closure(*left_action(g.datum))
     for p in PARABOLICS:
         crossed = crossed_simple_roots(g, p)
         want = {
@@ -256,7 +254,7 @@ def test_oracle_set_equals_bruteforce(n):
             for w in minimal_reps_bruteforce(g.datum, crossed)
         }
         assert set(map(decode, minimal_inverses(g.datum, group, crossed))) == want
-        walk = {encoded_inverse(ident, tables, nd.word) for nd in diagram(n, p).nodes}
+        walk = {encoded_inverse(g.datum, nd.word) for nd in diagram(n, p).nodes}
         assert set(map(decode, walk)) == want
 
 
@@ -286,7 +284,7 @@ def test_oracle_failure_is_reported(monkeypatch):
     assert row.detail == "P2: walk 11 vs oracle 12; symmetric difference 1"
 
 
-def test_group_order_failure_is_reported(monkeypatch):
+def test_group_order_failure_is_reported(monkeypatch, left_action_cache):
     import orthoweyl.verification as verification
 
     original = weylgroup.generator_permutations
@@ -418,7 +416,7 @@ def test_streamed_oracle_peak_is_under_half_the_closure():
 
 
 @pytest.mark.parametrize("n", [5, 6, 10])
-def test_tables_that_are_not_involutions_end_in_a_fail_row(monkeypatch, n):
+def test_tables_that_are_not_involutions_end_in_a_fail_row(monkeypatch, left_action_cache, n):
     original = weylgroup.generator_permutations
 
     def cycled(datum):

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import orthoweyl.weylgroup as weylgroup
 from orthoweyl.errors import DimensionError, IndexRangeError, RankGuardError
 from orthoweyl.linform import LinearForm
 from orthoweyl.hasse import build_hasse
@@ -12,7 +13,6 @@ from orthoweyl.rootsystem import DynkinKind, Weight, make_datum, positive_root_v
 from orthoweyl.weylgroup import (
     apply_word,
     decode,
-    doubled_rho_by_byte,
     encoded_inverse,
     enumerate_group,
     generator_matrix,
@@ -33,6 +33,7 @@ from reference import (
     _root_terms,
     inversion_counter,
     mat_mul,
+    matrix_inversion_vectors,
     reflect_word,
     simple_reflection,
 )
@@ -234,9 +235,8 @@ def test_word_action_matrix_on_every_walk_word(n):
 def test_encoded_inverse_refuses_letters_outside_the_rank(datum, letter):
     # tables[j - 1] would read tables[-1] for the letter 0 and s_k would act unseen
     letter = datum.rank + 1 if letter == "k+1" else letter
-    ident, tables = left_action(datum)
     with pytest.raises(IndexRangeError, match=rf"^letter {letter} outside 1\.\.{datum.rank}$"):
-        encoded_inverse(ident, tables, (1, letter))
+        encoded_inverse(datum, (1, letter))
 
 
 @pytest.mark.parametrize("datum", [B3, D4], ids=repr)
@@ -254,6 +254,29 @@ def test_word_length_counts_the_inversion_set_of_every_walk_node(n):
         for node in build_hasse(parabolic_choice(g, p)).nodes:
             assert word_length(g.datum, node.word) == len(inversion_vectors(g.datum, node.word))
             assert word_length(g.datum, node.word) == node.length
+
+
+def test_left_action_builds_the_tables_once_per_datum(monkeypatch, left_action_cache):
+    original, built = weylgroup.generator_permutations, []
+
+    def counted(datum):
+        built.append(datum)
+        return original(datum)
+
+    monkeypatch.setattr(weylgroup, "generator_permutations", counted)
+    data = [group_spec(n).datum for n in (5, 6, 61)]
+    for datum in data * 3:
+        for word in product(range(1, 4), repeat=3):
+            word_length(datum, word)
+    assert built == data
+
+
+@pytest.mark.parametrize("datum", [B3, D4], ids=repr)
+def test_inversion_vectors_equal_the_full_product_reference(datum):
+    # every word of length <= 5, the non-reduced ones included
+    letters = range(1, datum.rank + 1)
+    for word in (w for m in range(6) for w in product(letters, repeat=m)):
+        assert inversion_vectors(datum, word) == matrix_inversion_vectors(datum, word), word
 
 
 @pytest.mark.parametrize("datum", [B3, D4], ids=repr)
@@ -286,12 +309,18 @@ def _layers_with_words(datum):
         words = following
 
 
+@given(st.sampled_from(LENGTH_DATA), st.data())
+def test_inversion_vectors_equal_the_reference_on_random_words(datum, data):
+    word = data.draw(st.lists(st.integers(1, datum.rank), max_size=40))
+    assert inversion_vectors(datum, word) == matrix_inversion_vectors(datum, word)
+
+
 @pytest.mark.parametrize("datum", LENGTH_DATA, ids=repr)
 def test_length_of_equals_the_references_on_every_element(datum):
-    rho, count = doubled_rho_by_byte(datum), inversion_counter(datum)
+    count = inversion_counter(datum)
     roots = [_root_terms(datum, beta) for beta in positive_root_vectors(datum)]
     for u, l, word in _layers_with_words(datum):
-        length = length_of(datum, [rho[b] for b in u[: datum.rank]])
+        length = length_of(datum, u)
         assert length == l == count(u) == _inversion_count(decode(u), roots), word
         assert length == len(inversion_vectors(datum, word)), word
 
@@ -299,9 +328,7 @@ def test_length_of_equals_the_references_on_every_element(datum):
 def test_length_of_equals_the_stored_length_on_every_walk_node():
     for n in range(5, 62):
         g = group_spec(n)
-        rho, (ident, tables) = doubled_rho_by_byte(g.datum), left_action(g.datum)
         for p in (MaximalParabolic.P1, MaximalParabolic.P2):
             for node in build_hasse(parabolic_choice(g, p)).nodes:
-                u = encoded_inverse(ident, tables, node.word)
-                length = length_of(g.datum, [rho[b] for b in u[: g.k]])
+                length = length_of(g.datum, encoded_inverse(g.datum, node.word))
                 assert length == node.length, (n, p, node.word)
